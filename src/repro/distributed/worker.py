@@ -9,7 +9,10 @@ away.
 
 Per-plan state follows the same memo discipline as the process executor:
 the dataset, warmed analytical caches and series factories are resolved
-once per plan fingerprint and reused across batches.  Resolution never
+once per plan fingerprint and kept in a bounded LRU
+(:class:`~repro.experiments.scheduler.PlanStateMemo`) across batches and
+plans, and cells run through the same per-cell loop
+(:func:`~repro.experiments.scheduler.evaluate_batch`).  Resolution never
 simulates: a worker with a store (``--store-dir`` directory or any
 ``--store-url`` backend) loads artifacts whose fingerprint exists and
 *downloads* the rest — **directly from the store the coordinator
@@ -47,7 +50,7 @@ import time
 import uuid
 
 from repro.analytical.cache import AnalyticalPredictionCache
-from repro.core.evaluation import evaluate_cell
+from repro.cli import add_auth_args, add_logging_parent, add_store_args, load_auth_key
 from repro.datasets.backends import IntegrityError, resolve_backend, sha256_hex
 from repro.datasets.store import _FORMAT_VERSION, DatasetStore, _simulator_versions
 from repro.distributed import protocol
@@ -72,10 +75,10 @@ from repro.distributed.protocol import (
     Results,
     parse_address,
 )
-from repro.cli import add_auth_args, add_logging_parent, add_store_args, load_auth_key
+from repro.experiments.plan import build_analytical
+from repro.experiments.scheduler import PlanStateMemo, _series_factories, evaluate_batch
 from repro.obs.logging import configure_logging
 from repro.obs.metrics import REGISTRY, MetricsRegistry
-from repro.obs.tracing import span_into
 from repro.utils.retry import RetryPolicy
 
 __all__ = ["FleetWorker", "HandshakeRejected", "main"]
@@ -202,7 +205,7 @@ class FleetWorker:
         #: Per-connection frame authenticator (rebuilt on every fresh
         #: connect so reconnects negotiate a new session key).
         self._auth: protocol.FrameAuth | None = None
-        self._memo: dict[str, tuple] = {}
+        self._memo = PlanStateMemo()
         self._advertised: dict[str, DatasetStore | None] = {}
 
     # Compatibility views over the registry counters (tests and callers
@@ -379,8 +382,9 @@ class FleetWorker:
     # Plan serving
     # ------------------------------------------------------------------ #
     def _serve_plan(self, sock: socket.socket, assignment: PlanAssignment) -> None:
-        dataset, factories = self._ensure_state(sock, assignment)
         plan_id = assignment.plan_id
+        dataset, factories = self._memo.get(
+            plan_id, lambda: self._resolve_state(sock, assignment))
         self._counters["plans_served"].inc()
         while True:
             reply = self._request(sock, GetBatch(plan_id, self.worker_id))
@@ -392,54 +396,20 @@ class FleetWorker:
             if not isinstance(reply, Batch):
                 raise protocol.ProtocolError(
                     f"expected a batch, got {type(reply).__name__}")
-            results, spans = self._evaluate_batch(reply, factories, dataset)
+            # Traced frames carry the coordinator's plan-span context; the
+            # batch/cell spans built under it ship back with the results.
+            results, spans = evaluate_batch(
+                reply.cells, factories, dataset, trace=reply.trace,
+                attrs={"executor": "remote", "worker": self.worker_id},
+                cell_attrs={"worker": self.worker_id},
+                cell_delay=self.cell_delay)
             self._counters["cells_evaluated"].inc(len(results))
             self._request(sock, Results(
                 plan_id, self.worker_id, tuple(results), spans=tuple(spans),
                 metrics=self.metrics.snapshot()))
 
-    def _evaluate_batch(self, batch: Batch, factories, dataset):
-        """One leased batch's results plus (when traced) its finished spans.
-
-        With a ``trace`` context in the frame the worker builds a
-        ``batch`` span parented to the coordinator side's plan span and
-        one ``cell`` span per cell under it — the exact hierarchy the
-        in-process executors produce — and ships them back inside the
-        :class:`Results` frame.  Without one (tracing off), no span
-        objects are created at all.
-        """
-        results = []
-        if batch.trace is None:
-            for cell in batch.cells:
-                if self.cell_delay:
-                    time.sleep(self.cell_delay)
-                results.append(evaluate_cell(
-                    cell, factories[cell.factory_key], dataset))
-            return results, ()
-        spans: list = []
-        with span_into(spans, "batch", parent=batch.trace,
-                       attrs={"executor": "remote", "worker": self.worker_id,
-                              "cells": len(batch.cells)}) as batch_span:
-            for cell in batch.cells:
-                if self.cell_delay:
-                    time.sleep(self.cell_delay)
-                with span_into(spans, "cell", parent=batch_span,
-                               attrs={"series": cell.series,
-                                      "fraction": cell.fraction,
-                                      "repeat": cell.repeat,
-                                      "worker": self.worker_id}):
-                    results.append(evaluate_cell(
-                        cell, factories[cell.factory_key], dataset))
-        return results, spans
-
-    def _ensure_state(self, sock: socket.socket, assignment: PlanAssignment):
-        """Dataset + series factories for the plan, memoized by fingerprint."""
-        state = self._memo.get(assignment.plan_id)
-        if state is not None:
-            return state
-        from repro.experiments.plan import build_analytical
-        from repro.experiments.scheduler import _series_factories
-
+    def _resolve_state(self, sock: socket.socket, assignment: PlanAssignment):
+        """Dataset + series factories for the plan (a memo miss)."""
         plan = assignment.plan
         spec = plan.dataset
         # store_ok is False when the coordinator runs an explicit dataset
@@ -475,9 +445,7 @@ class FleetWorker:
             else:
                 caches[key] = AnalyticalPredictionCache.load(
                     io.BytesIO(data), model, dataset.feature_names)
-        state = (dataset, _series_factories(plan, dataset, caches))
-        self._memo[assignment.plan_id] = state
-        return state
+        return dataset, _series_factories(plan, dataset, caches)
 
     def _advertised_store(self, assignment: PlanAssignment) -> DatasetStore | None:
         """The shared store the plan manifest advertises (memoized), or ``None``."""

@@ -12,7 +12,7 @@ Use :func:`~repro.experiments.runner.run_experiment` /
 ``python -m repro.experiments``) to execute them directly.  Execution is
 plan-based: experiments expand into picklable ``(series, fraction,
 repeat)`` cells (:mod:`repro.experiments.plan`) dispatched through
-pluggable serial/thread/process executors
+pluggable serial/process/remote executors
 (:mod:`repro.experiments.scheduler`) with bit-identical results, backed
 by an optional persistent dataset/cache store
 (:mod:`repro.datasets.store`).

@@ -5,8 +5,6 @@ expands it into :class:`~repro.core.evaluation.EvalCell` tasks and
 dispatches them through one of three executors:
 
 * ``"serial"`` — the cells run in plan order in the calling process;
-* ``"thread"`` — a ``ThreadPoolExecutor`` (tree fitting spends its time in
-  NumPy kernels that release the GIL, so threads give real concurrency);
 * ``"process"`` — a persistent :class:`~repro.experiments.pool.WorkerPool`
   of worker processes.  Cells are fused into cost-balanced batches by a
   greedy LPT shaper driven by the pool module's calibrated
@@ -27,10 +25,11 @@ dispatches them through one of three executors:
   CLI's ``--bind``/``--workers`` mode); without one a throwaway
   coordinator plus ``jobs`` localhost workers is spun up per plan.
 
-Because seeds are derived at planning time and the merge is performed in
-plan order, all four executors produce **bit-identical**
-:class:`~repro.experiments.runner.ExperimentResult` rows; the executor is
-purely a throughput knob.
+Every executor runs its cells through the same per-cell loop,
+:func:`evaluate_batch`.  Because seeds are derived at planning time and
+the merge is performed in plan order, all three executors produce
+**bit-identical** :class:`~repro.experiments.runner.ExperimentResult`
+rows; the executor is purely a throughput knob.
 
 When a store is supplied the parent process resolves (and persists) the
 dataset and warmed analytical caches *before* dispatch, so worker
@@ -44,7 +43,7 @@ import hashlib
 import os
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 from repro.analytical import AnalyticalPredictionCache
 from repro.core.evaluation import CellResult, evaluate_cell, merge_cell_results
@@ -71,12 +70,13 @@ from repro.experiments.runner import (
     ExperimentSettings,
     _resolve_store,
 )
-from repro.obs.tracing import TRACER, span_into
+from repro.obs.tracing import TRACER, SpanContext, span_into
 
-__all__ = ["EXECUTORS", "run_plan", "run_named_plan", "worker_state_stats"]
+__all__ = ["EXECUTORS", "PlanStateMemo", "evaluate_batch", "run_plan",
+           "run_named_plan", "worker_state_stats"]
 
 #: Valid values of the ``executor`` argument / ``--executor`` CLI flag.
-EXECUTORS = ("serial", "thread", "process", "remote")
+EXECUTORS = ("serial", "process", "remote")
 
 
 def _resolve_jobs(jobs: int) -> int:
@@ -132,21 +132,83 @@ def _series_factories(plan: ExperimentPlan, dataset: PerformanceDataset,
 
 
 # --------------------------------------------------------------------------- #
-# Process-pool worker side
+# The per-cell loop and the plan-state memo (shared by every executor)
 # --------------------------------------------------------------------------- #
-#: Per-process memo of resolved plan state, so one worker handling several
-#: cell batches of the same plan loads the dataset and caches only once.
-#: Workers now outlive a single plan (see :class:`WorkerPool`), so the
-#: memo is a bounded LRU: long experiment sequences evict their oldest
-#: plan state instead of growing worker RSS without limit.
-_WORKER_STATE: OrderedDict = OrderedDict()
-#: Resolved plan states kept per worker.  One state holds a dataset view
-#: plus warmed caches and factories — a handful covers every realistic
-#: sequence (consecutive plans sharing datasets hit the memo), while a
-#: hard cap bounds worker memory on arbitrarily long sequences.
-_WORKER_STATE_LIMIT = 8
-#: Evictions performed by this process (exposed via :func:`worker_state_stats`).
-_WORKER_STATE_EVICTIONS = 0
+def evaluate_batch(cells, factories: dict, dataset: PerformanceDataset, *,
+                   trace: SpanContext | None = None, attrs: dict | None = None,
+                   cell_attrs: dict | None = None, cell_delay: float = 0.0,
+                   ) -> tuple[list[CellResult], list]:
+    """Evaluate *cells* in order: the one per-cell loop of every executor.
+
+    The serial branch of :func:`run_plan`, process-pool workers and fleet
+    workers all call this, so executors differ only in where *factories*
+    and *dataset* come from; each cell reduces to the same
+    :func:`~repro.core.evaluation.evaluate_cell` call.  Returns the
+    results and the finished spans.
+
+    With ``trace=None`` (tracing off) no span objects are built and the
+    span list is empty.  With a :class:`~repro.obs.tracing.SpanContext`
+    the batch gets a ``batch`` span parented to it (*attrs* plus
+    ``cells``) and every cell a ``cell`` span under that (``series``,
+    ``fraction``, ``repeat`` plus *cell_attrs*).  *cell_delay* sleeps
+    before each cell (the fleet worker's fault-injection knob).
+    """
+    results: list[CellResult] = []
+    spans: list = []
+    traced = trace is not None
+    with (span_into(spans, "batch", parent=trace,
+                    attrs={**(attrs or {}), "cells": len(cells)})
+          if traced else nullcontext()) as batch_span:
+        for cell in cells:
+            if cell_delay:
+                time.sleep(cell_delay)
+            with (span_into(spans, "cell", parent=batch_span,
+                            attrs={"series": cell.series,
+                                   "fraction": cell.fraction,
+                                   "repeat": cell.repeat, **(cell_attrs or {})})
+                  if traced else nullcontext()):
+                results.append(evaluate_cell(
+                    cell, factories[cell.factory_key], dataset))
+    return results, spans
+
+
+class PlanStateMemo:
+    """Bounded LRU of resolved plan state (dataset plus series factories).
+
+    Pool workers and fleet workers outlive a single plan, so each keeps
+    the state it resolved per plan here and reuses it across batches and
+    plans.  One state holds a dataset plus warmed caches and factories:
+    a handful covers every realistic sequence (consecutive plans sharing
+    datasets hit the memo), while *limit* bounds worker memory on
+    arbitrarily long ones by evicting the least recently used state.
+    """
+
+    limit = 8
+
+    def __init__(self) -> None:
+        self.evictions = 0
+        self._states: OrderedDict = OrderedDict()
+
+    def get(self, key, build):
+        """The state under *key*; on a miss ``build()`` makes and memoizes it."""
+        state = self._states.get(key)
+        if state is not None:
+            self._states.move_to_end(key)
+            return state
+        state = self._states[key] = build()
+        while len(self._states) > self.limit:
+            self._states.popitem(last=False)
+            self.evictions += 1
+        return state
+
+    def stats(self) -> dict:
+        """Size, limit and eviction count."""
+        return {"size": len(self._states), "limit": self.limit,
+                "evictions": self.evictions}
+
+
+#: This process's plan-state memo (used inside process-pool workers).
+_WORKER_STATE = PlanStateMemo()
 
 
 def worker_state_stats() -> dict:
@@ -156,23 +218,14 @@ def worker_state_stats() -> dict:
     observe memo behaviour from outside; in the parent it reports the
     parent's own — normally empty — memo.
     """
-    return {"size": len(_WORKER_STATE), "limit": _WORKER_STATE_LIMIT,
-            "evictions": _WORKER_STATE_EVICTIONS}
-
-
-def _worker_state_put(key, state) -> None:
-    global _WORKER_STATE_EVICTIONS
-    _WORKER_STATE[key] = state
-    _WORKER_STATE.move_to_end(key)
-    while len(_WORKER_STATE) > _WORKER_STATE_LIMIT:
-        _WORKER_STATE.popitem(last=False)
-        _WORKER_STATE_EVICTIONS += 1
+    return _WORKER_STATE.stats()
 
 
 def _evaluate_batch(plan: ExperimentPlan, cells: list, store_locator: str | None,
                     dataset: PerformanceDataset | None = None,
-                    shared_ref: SharedDatasetRef | None = None) -> list[CellResult]:
-    """Evaluate one batch of cells (runs inside a worker process).
+                    shared_ref: SharedDatasetRef | None = None,
+                    trace: SpanContext | None = None) -> tuple[list[CellResult], list]:
+    """Evaluate one batch of cells inside a pool worker: results plus spans.
 
     Module-level (and with picklable arguments) so the process pool can
     ship it.  *store_locator* is the parent store's shareable URL
@@ -182,11 +235,9 @@ def _evaluate_batch(plan: ExperimentPlan, cells: list, store_locator: str | None
     zero-copy read-only view instead of loading the npz artifact or
     unpickling shipped arrays (a canonical ref still reads analytical
     caches through the store; an override ref bypasses stores entirely,
-    like a shipped override *dataset*).  The serial/thread paths
-    evaluate cells directly in :func:`run_plan` against the
-    parent-resolved state; divergence is impossible because every path
-    reduces to the same :func:`~repro.core.evaluation.evaluate_cell`
-    call per cell and the merge is plan-ordered.
+    like a shipped override *dataset*).  *trace* is the parent plan
+    span's context (``None`` when tracing is off); the spans built under
+    it travel back over the pool's pickle boundary.
     """
     canonical = shared_ref.canonical if shared_ref is not None else False
     if shared_ref is not None and not canonical:
@@ -200,60 +251,18 @@ def _evaluate_batch(plan: ExperimentPlan, cells: list, store_locator: str | None
         # Canonical content: identical whether it arrives via the store
         # locator, shared memory, or a shipped copy of the built dataset.
         key = (plan, store_locator)
-    state = _WORKER_STATE.get(key)
-    if state is None:
-        if shared_ref is not None:
-            dataset = shared_ref.materialize()
-        if dataset is not None:
-            store = (DatasetStore(store_locator)
-                     if canonical and store_locator is not None else None)
-            resolved, caches = _resolve_data(plan, store, dataset,
-                                             canonical=canonical)
-        else:
-            store = DatasetStore(store_locator) if store_locator is not None else None
-            resolved, caches = _resolve_data(plan, store)
-        state = (resolved, _series_factories(plan, resolved, caches))
-        _worker_state_put(key, state)
-    else:
-        _WORKER_STATE.move_to_end(key)
-    resolved, factories = state
-    return [evaluate_cell(cell, factories[cell.factory_key], resolved)
-            for cell in cells]
 
+    def resolve():
+        data = shared_ref.materialize() if shared_ref is not None else dataset
+        store = (DatasetStore(store_locator)
+                 if store_locator is not None and (data is None or canonical)
+                 else None)
+        resolved, caches = _resolve_data(plan, store, data, canonical=canonical)
+        return resolved, _series_factories(plan, resolved, caches)
 
-def _cell_attrs(cell) -> dict:
-    """Span attributes identifying one cell (kept to its key fields only)."""
-    return {"series": cell.series, "fraction": cell.fraction,
-            "repeat": cell.repeat}
-
-
-def _evaluate_batch_traced(plan: ExperimentPlan, cells: list,
-                           store_locator: str | None,
-                           dataset: PerformanceDataset | None = None,
-                           shared_ref: SharedDatasetRef | None = None,
-                           trace=None) -> tuple[list[CellResult], list]:
-    """Traced twin of :func:`_evaluate_batch`: results plus finished spans.
-
-    Dispatched instead of the plain function only when the parent runs
-    under an active trace collection, so the untraced hot path stays
-    byte-for-byte identical.  *trace* is the parent plan span's
-    :class:`~repro.obs.tracing.SpanContext`; the batch and per-cell spans
-    created here parent to it and travel back over the pool's pickle
-    boundary as plain :class:`~repro.obs.tracing.Span` values.
-    """
-    spans: list = []
-    with span_into(spans, "batch",
-                   parent=trace,
-                   attrs={"executor": "process", "pid": os.getpid(),
-                          "cells": len(cells)}) as batch_span:
-        results: list[CellResult] = []
-        for cell in cells:
-            with span_into(spans, "cell", parent=batch_span,
-                           attrs=_cell_attrs(cell)):
-                results.extend(
-                    _evaluate_batch(plan, [cell], store_locator,
-                                    dataset, shared_ref))
-    return results, spans
+    resolved, factories = _WORKER_STATE.get(key, resolve)
+    return evaluate_batch(cells, factories, resolved, trace=trace,
+                          attrs={"executor": "process", "pid": os.getpid()})
 
 
 # --------------------------------------------------------------------------- #
@@ -296,7 +305,8 @@ def _run_remote(plan: ExperimentPlan, cells: list, dataset: PerformanceDataset,
 # --------------------------------------------------------------------------- #
 def _run_process(plan: ExperimentPlan, cells: list, resolved: PerformanceDataset,
                  store_locator: str | None, *, dataset_override: bool,
-                 pool: WorkerPool, batch_cells) -> list[CellResult]:
+                 pool: WorkerPool, batch_cells,
+                 trace: SpanContext | None) -> list[CellResult]:
     """Dispatch cells to a (possibly long-lived) :class:`WorkerPool`.
 
     Three overhead attacks compose here: the pool may outlive this plan
@@ -305,6 +315,7 @@ def _run_process(plan: ExperimentPlan, cells: list, resolved: PerformanceDataset
     split, and the dataset travels through shared memory when available.
     Measured batch durations are fed back into the cost model, so later
     plans — and the fleet coordinator's adaptive leases — shape better.
+    Spans the workers build under *trace* are recorded on arrival.
     """
     costs = COST_MODEL.plan_costs(plan, cells, resolved.n_samples)
     units = COST_MODEL.plan_units(plan, cells, resolved.n_samples)
@@ -324,32 +335,18 @@ def _run_process(plan: ExperimentPlan, cells: list, resolved: PerformanceDataset
         # (when a shareable locator exists) or in-band pickling.
         shipped = None if store_locator is not None else resolved
 
-    # Tracing on: dispatch the traced twin, which ships finished spans
-    # back with the results.  Off (the common case): the dispatched
-    # callable and its argument tuples are identical to the untraced
-    # build, so the pool's hot path pays nothing.
-    trace = TRACER.current_context() if TRACER.enabled else None
-    if trace is None:
-        timed = pool.run_batches(
-            _evaluate_batch,
-            [(plan, batch, store_locator, shipped, shared_ref)
-             for batch in batches])
-    else:
-        traced = pool.run_batches(
-            _evaluate_batch_traced,
-            [(plan, batch, store_locator, shipped, shared_ref, trace)
-             for batch in batches])
-        timed = []
-        for seconds, (batch_results, spans) in traced:
-            TRACER.record(spans)
-            timed.append((seconds, batch_results))
-    for batch, (seconds, _) in zip(batches, timed, strict=True):
+    timed = pool.run_batches(
+        _evaluate_batch,
+        [(plan, batch, store_locator, shipped, shared_ref, trace)
+         for batch in batches])
+    for batch, (seconds, (_, spans)) in zip(batches, timed, strict=True):
+        TRACER.record(spans)
         by_family: dict[str, float] = {}
         for cell in batch:
             family, cell_units = units[cell.key]
             by_family[family] = by_family.get(family, 0.0) + cell_units
         COST_MODEL.observe(by_family, seconds)
-    return [result for _, batch_results in timed for result in batch_results]
+    return [result for _, (batch_results, _) in timed for result in batch_results]
 
 
 # --------------------------------------------------------------------------- #
@@ -367,10 +364,9 @@ def run_plan(plan: ExperimentPlan, *, executor: str = "serial", jobs: int = 1,
     plan:
         The experiment plan to execute.
     executor:
-        One of :data:`EXECUTORS`.  All four produce bit-identical rows.
+        One of :data:`EXECUTORS`.  All three produce bit-identical rows.
     jobs:
-        Worker count for the thread/process executors (``-1`` = CPU
-        count); for ``"remote"`` without a *fleet*, the size of the
+        Worker count for the process executor (``-1`` = CPU count); for ``"remote"`` without a *fleet*, the size of the
         spawned localhost fleet.
     store:
         Optional persistent :class:`DatasetStore`: datasets and warmed
@@ -427,41 +423,25 @@ def run_plan(plan: ExperimentPlan, *, executor: str = "serial", jobs: int = 1,
     # ``--trace``) the whole dispatch+merge runs inside a plan span; every
     # executor parents its batch and cell spans to it (over the wire for
     # remote, over the pool's pickle boundary for process).  With tracing
-    # off — the default — every ``TRACER.span`` below yields None after a
-    # single attribute check, which is the basis of the scheduler's <2%
-    # overhead guarantee (see benchmarks/test_bench_perf.py).
+    # off — the default — the plan span yields None after a single
+    # attribute check and ``trace`` is None, so no batch or cell span is
+    # built: the basis of the scheduler's <2% overhead guarantee (see
+    # benchmarks/test_bench_perf.py).
     with TRACER.span("plan", attrs={"plan": plan.experiment_id,
                                     "executor": executor,
                                     "cells": len(cells)}):
+        trace = TRACER.current_context() if TRACER.enabled else None
         if executor == "remote":
             results = _run_remote(plan, cells, resolved, caches,
                                   store if dataset is None else None, fleet, jobs,
                                   dataset_override=dataset is not None,
                                   batch_cells=batch_cells)
         elif (executor == "serial" or len(cells) <= 1
-              or (jobs == 1 and not (executor == "process" and pool is not None))):
-            factories = _series_factories(plan, resolved, caches)
-            with TRACER.span("batch", attrs={"executor": "serial",
-                                             "cells": len(cells)}) as batch_span:
-                results = []
-                for cell in cells:
-                    with TRACER.span("cell", parent=batch_span,
-                                     attrs=_cell_attrs(cell)):
-                        results.append(evaluate_cell(
-                            cell, factories[cell.factory_key], resolved))
-        elif executor == "thread":
-            factories = _series_factories(plan, resolved, caches)
-            with TRACER.span("batch", attrs={"executor": "thread", "jobs": jobs,
-                                             "cells": len(cells)}) as batch_span:
-                def _eval_one(cell):
-                    # Pool threads don't inherit the contextvar; parent
-                    # each cell span to the batch explicitly.
-                    with TRACER.span("cell", parent=batch_span,
-                                     attrs=_cell_attrs(cell)):
-                        return evaluate_cell(
-                            cell, factories[cell.factory_key], resolved)
-                with ThreadPoolExecutor(max_workers=jobs) as thread_pool:
-                    results = list(thread_pool.map(_eval_one, cells))
+              or (jobs == 1 and pool is None)):
+            results, spans = evaluate_batch(
+                cells, _series_factories(plan, resolved, caches), resolved,
+                trace=trace, attrs={"executor": "serial"})
+            TRACER.record(spans)
         else:  # process
             store_locator = store.locator if (store is not None and dataset is None) else None
             own_pool = pool is None
@@ -470,7 +450,8 @@ def run_plan(plan: ExperimentPlan, *, executor: str = "serial", jobs: int = 1,
             try:
                 results = _run_process(plan, cells, resolved, store_locator,
                                        dataset_override=dataset is not None,
-                                       pool=pool, batch_cells=batch_cells)
+                                       pool=pool, batch_cells=batch_cells,
+                                       trace=trace)
                 used_pool = True
             finally:
                 if own_pool:

@@ -14,7 +14,7 @@ collection, :meth:`Tracer.span` costs one attribute read and yields
 
 Inside a collection, ``run_plan`` opens a ``plan`` span, each dispatch
 unit a ``batch`` span, and every ``EvalCell`` a ``cell`` span — across
-all four executors.  The parent link crosses process boundaries as a
+all three executors.  The parent link crosses process boundaries as a
 :class:`SpanContext` (a two-field picklable dataclass): the process
 pool ships it with the batch arguments, the fleet coordinator inside
 ``Batch`` frames; workers build their spans with :func:`span_into`

@@ -19,6 +19,7 @@ The guarantees under test:
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import signal
 import socket
@@ -182,10 +183,19 @@ class TestRemoteExecutor:
         serial6 = run_experiment("figure6", TINY)
         serial8 = run_experiment("figure8", TINY)
         with Coordinator() as coordinator:
-            workers = [FleetWorker(coordinator.address) for _ in range(3)]
+            # A per-cell delay makes one 4-cell lease outlast the 0.2 s
+            # NoPlan poll, so no single worker can drain a plan alone.
+            workers = [FleetWorker(coordinator.address, cell_delay=0.1)
+                       for _ in range(3)]
             threads = [threading.Thread(target=w.run, daemon=True) for w in workers]
             for thread in threads:
                 thread.start()
+            # Start the first plan only once every worker has connected.
+            deadline = time.monotonic() + 30.0
+            while (len(coordinator.worker_snapshot()) < len(workers)
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+            assert len(coordinator.worker_snapshot()) == len(workers)
             remote6 = run_experiment("figure6", TINY, executor="remote",
                                      fleet=coordinator)
             remote8 = run_experiment("figure8", TINY, executor="remote",
@@ -664,6 +674,30 @@ class TestFaultTolerance:
         thread.join(timeout=10.0)
         assert _rows(remote1) == _rows(serial)
         assert _rows(remote2) == _rows(serial)
+
+    def test_worker_memo_is_bounded(self):
+        """A long-lived worker serving more distinct plans than its memo
+        limit keeps at most ``limit`` plan states and counts evictions."""
+        base = experiment_plan("figure6", TINY)
+        # One series, one repeat: 3 cheap cells per plan; the seed makes
+        # every plan (and so its fingerprint) distinct.
+        plans = [dataclasses.replace(base, series=base.series[:1], n_repeats=1,
+                                     random_state=seed) for seed in range(10)]
+        dataset = base.dataset.build()
+        with Coordinator() as coordinator:
+            worker = FleetWorker(coordinator.address)
+            thread = threading.Thread(target=worker.run, daemon=True)
+            thread.start()
+            for plan in plans:
+                run_plan(plan, executor="remote", fleet=coordinator,
+                         dataset=dataset)
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert worker.cells_evaluated == 3 * len(plans)
+        stats = worker._memo.stats()
+        assert stats["limit"] == 8
+        assert stats["size"] == 8
+        assert stats["evictions"] == len(plans) - 8
 
 
 class TestSpeculation:

@@ -382,9 +382,3 @@ class TestEvalCellProtocol:
                                    executor="process", jobs=2)
         assert processed.rows() == serial.rows()
         assert processed.extra == serial.extra
-
-    def test_serial_thread_identical(self):
-        serial = run_experiment("ablation_tree_method", TINY)
-        threaded = run_experiment("ablation_tree_method", TINY,
-                                  executor="thread", jobs=2)
-        assert threaded.rows() == serial.rows()

@@ -361,7 +361,7 @@ class TestExecutorSpans:
     def n_cells(self):
         return len(expand_cells(experiment_plan("figure5", TINY)))
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_local_executors(self, executor, baseline, n_cells):
         with TRACER.collect() as spans:
             result = run_experiment("figure5", TINY, executor=executor, jobs=2)
@@ -410,7 +410,7 @@ class TestExecutorSpans:
 
     def test_trace_summary_reports_phases_and_workers(self, n_cells):
         with TRACER.collect() as spans:
-            run_experiment("figure5", TINY, executor="thread", jobs=2)
+            run_experiment("figure5", TINY, executor="process", jobs=2)
         summary = summarize_trace(spans)
         assert summary["spans"] == len(spans)
         assert summary["phases"]["cell"]["count"] == n_cells

@@ -268,7 +268,7 @@ class TestWorkerPool:
         plan = experiment_plan("figure5", TINY)
         with WorkerPool(1, prime=False) as pool:
             with pytest.raises(ValueError, match="process"):
-                run_plan(plan, executor="thread", jobs=2, pool=pool)
+                run_plan(plan, executor="serial", jobs=2, pool=pool)
 
     def test_warm_pool_bit_identical_across_plans(self):
         """The acceptance oracle: >= 2 consecutive plans on one pool (and a
@@ -311,7 +311,7 @@ class TestWorkerStateLru:
         """With the limit forced to 1, a second distinct plan evicts the
         first plan's memo inside the worker — observable via the stats
         probe.  (Workers fork after the monkeypatch, inheriting it.)"""
-        monkeypatch.setattr("repro.experiments.scheduler._WORKER_STATE_LIMIT", 1)
+        monkeypatch.setattr("repro.experiments.scheduler._WORKER_STATE.limit", 1)
         with WorkerPool(1) as pool:
             for name in ("figure5", "figure6"):
                 run_plan(experiment_plan(name, TINY), executor="process",

@@ -3,7 +3,7 @@
 The key guarantees:
 
 * every experiment plan expands into picklable cells whose seeds are
-  derived at planning time, so the serial, thread and process executors
+  derived at planning time, so the serial and process executors
   produce **bit-identical** ``ExperimentResult`` rows;
 * a persistent :class:`DatasetStore` lets a second invocation skip both
   dataset generation and the analytical warm-up (verified through the
@@ -27,6 +27,7 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.experiments.plan import build_analytical, build_factory
+from repro.experiments.scheduler import EXECUTORS, run_plan
 from repro.utils.rng import check_random_state, spawn_seeds
 
 TINY = ExperimentSettings(n_estimators=4, n_repeats=2, max_configs=120, random_state=0)
@@ -96,11 +97,6 @@ class TestExecutorDeterminism:
     def serial_results(self):
         return run_all(TINY)
 
-    def test_thread_executor_bit_identical(self, serial_results):
-        threaded = run_all(TINY, SUBSET, executor="thread", jobs=4)
-        serial = {name: serial_results[name] for name in SUBSET}
-        assert _all_rows(threaded) == _all_rows(serial)
-
     def test_process_executor_bit_identical(self, serial_results):
         """The acceptance criterion: process rows == serial rows, bit for bit."""
         processed = run_all(TINY, executor="process", jobs=4)
@@ -110,7 +106,18 @@ class TestExecutorDeterminism:
         with pytest.raises(ValueError):
             run_experiment("figure6", TINY, executor="rocket")
         with pytest.raises(ValueError):
-            run_experiment("figure6", TINY, executor="thread", jobs=0)
+            run_experiment("figure6", TINY, executor="process", jobs=0)
+
+    def test_thread_executor_is_rejected(self):
+        """The removed ``thread`` executor fails fast, naming the valid ones."""
+        assert EXECUTORS == ("serial", "process", "remote")
+        plan = experiment_plan("figure6", TINY)
+        for run in (lambda: run_plan(plan, executor="thread", jobs=2),
+                    lambda: run_experiment("figure6", TINY, executor="thread",
+                                           jobs=2)):
+            with pytest.raises(ValueError) as excinfo:
+                run()
+            assert all(name in str(excinfo.value) for name in EXECUTORS)
 
     def test_dataset_override_with_executors(self, serial_results):
         """Explicit datasets (the test/notebook path) work on every executor."""
@@ -120,9 +127,7 @@ class TestExecutorDeterminism:
         dataset = plan.dataset.build()
         serial = figure6(TINY, dataset)
         assert serial.rows() == serial_results["figure6"].rows()
-        threaded = figure6(TINY, dataset, executor="thread", jobs=2)
         processed = figure6(TINY, dataset, executor="process", jobs=2)
-        assert threaded.rows() == serial.rows()
         assert processed.rows() == serial.rows()
 
 
@@ -250,12 +255,20 @@ class TestCommandLine:
     def test_cli_parallel_store_run(self, tmp_path, capsys):
         from repro.experiments.__main__ import main
 
-        args = ["figure6", "--quick", "--executor", "thread", "--jobs", "2",
+        args = ["figure6", "--quick", "--executor", "process", "--jobs", "2",
                 "--store-dir", str(tmp_path)]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "figure6" in out and "hybrid" in out
         assert (tmp_path / "datasets").exists() and (tmp_path / "caches").exists()
+
+    def test_cli_rejects_thread_executor(self, capsys):
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure6", "--quick", "--executor", "thread"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
 
     def test_cli_process_sequence_with_batch_cells(self, tmp_path, capsys):
         """`--jobs 2 --batch-cells auto` runs the sequence on one warm

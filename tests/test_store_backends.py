@@ -392,7 +392,7 @@ class TestCommandLine:
     def test_store_url_flag_http(self, object_server, capsys):
         from repro.experiments.__main__ import main
 
-        assert main(["figure6", "--quick", "--executor", "thread", "--jobs", "2",
+        assert main(["figure6", "--quick", "--executor", "process", "--jobs", "2",
                      "--store-url", object_server.url]) == 0
         assert "figure6" in capsys.readouterr().out
         assert object_server.stats["puts"] >= 2  # dataset + warmed cache
