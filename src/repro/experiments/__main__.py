@@ -32,14 +32,17 @@ Options
                   it into the store under ``models/<series>-<plan_fp>.npz``;
                   serve the store with ``repro-serve --store-url ...`` (see
                   :mod:`repro.serving` and ``docs/serving.md``)
-``--heartbeat-timeout`` / ``--batch-size`` / ``--max-retries``
+``--heartbeat-timeout`` / ``--max-retries``
                   remote-executor fault-tolerance knobs: worker liveness
-                  deadline, cells per lease, and the per-cell requeue budget
-                  (see the README's "Operating a fleet" section)
+                  deadline and the per-cell requeue budget (see the
+                  README's "Operating a fleet" section)
 ``--batch-cells`` cell-fusion target for the process and remote executors:
-                  ``auto`` (default) shapes cost-balanced batches/leases from
-                  the calibrated cost model, an integer ``N`` forces ~N cells
-                  per batch/lease.  Batch shape never affects results.  For
+                  ``auto`` shapes cost-balanced batches/leases from the
+                  calibrated cost model, an integer ``N`` forces ~N cells
+                  per batch/lease (for ``remote`` it is the fleet's lease
+                  size).  Without the flag the process executor shapes
+                  ``auto`` batches and a remote fleet leases fixed 4-cell
+                  batches.  Batch shape never affects results.  For
                   ``--executor process`` with ``--jobs`` > 1 a single warm
                   worker pool additionally serves the whole experiment
                   sequence, so workers spawn once and keep their per-plan
@@ -132,10 +135,6 @@ def main(argv: list[str] | None = None) -> int:
                              "before a worker is presumed dead and its leased "
                              "cells are requeued (default 15; must be > 0 and "
                              "well above the workers' 1s heartbeat interval)")
-    parser.add_argument("--batch-size", type=int, default=None, metavar="N",
-                        help="remote executor: cells per lease (default 4; "
-                             "smaller bounds requeue cost and tail idle time, "
-                             "larger amortizes round-trips)")
     parser.add_argument("--max-retries", type=int, default=None, metavar="N",
                         help="remote executor: requeue budget per cell before "
                              "the plan fails hard (default 3; 0 = any worker "
@@ -144,8 +143,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="process/remote executors: cell-fusion target — "
                              "'auto' shapes cost-balanced batches (process) "
                              "or adaptive leases (remote) from the cost "
-                             "model, an integer forces ~N cells per batch; "
-                             "results are bit-identical for any value")
+                             "model, an integer forces ~N cells per batch or "
+                             "lease (default: auto for process, fixed 4-cell "
+                             "leases for remote); results are bit-identical "
+                             "for any value")
     parser.add_argument("--store-prune", action="store_true",
                         help="after the run, delete store entries not used by "
                              "the executed experiments (requires --store-dir "
@@ -186,7 +187,6 @@ def main(argv: list[str] | None = None) -> int:
     if executor != "remote" and (args.bind is not None or args.workers is not None):
         parser.error("--bind/--workers require --executor remote")
     fleet_knobs = {"heartbeat_timeout": args.heartbeat_timeout,
-                   "batch_size": args.batch_size,
                    "max_retries": args.max_retries}
     fleet_knobs = {k: v for k, v in fleet_knobs.items() if v is not None}
     if fleet_knobs and executor != "remote":
@@ -194,8 +194,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"{flags} require --executor remote")
     if args.heartbeat_timeout is not None and args.heartbeat_timeout <= 0:
         parser.error(f"--heartbeat-timeout must be > 0, got {args.heartbeat_timeout}")
-    if args.batch_size is not None and args.batch_size < 1:
-        parser.error(f"--batch-size must be >= 1, got {args.batch_size}")
     if args.max_retries is not None and args.max_retries < 0:
         parser.error(f"--max-retries must be >= 0, got {args.max_retries}")
     if args.status_port is not None and executor != "remote":
@@ -212,9 +210,6 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             parser.error(str(exc))
         if executor == "remote":
-            if args.batch_size is not None:
-                parser.error("--batch-cells and --batch-size are mutually "
-                             "exclusive (both set the fleet lease size)")
             # For the remote executor the fusion target IS the lease size.
             fleet_knobs["batch_size"] = batch_cells
             batch_cells = None
@@ -245,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     if executor == "remote":
         from repro.distributed.coordinator import Coordinator
         from repro.distributed.protocol import parse_address
-        from repro.experiments.scheduler import _resolve_jobs
+        from repro.experiments.pool import _resolve_jobs
 
         bind = ("127.0.0.1", 0) if args.bind is None else parse_address(args.bind)
         check_bind_safety(parser, bind[0], auth=auth_key, insecure=args.insecure)
@@ -281,14 +276,12 @@ def main(argv: list[str] | None = None) -> int:
 
     pool = None
     if executor == "process":
-        from repro.experiments.scheduler import _resolve_jobs
+        from repro.experiments.pool import WorkerPool, _resolve_jobs
 
         n_workers = _resolve_jobs(args.jobs)
         if n_workers > 1:
             # One warm pool for the whole sequence: workers spawn once and
             # keep their per-plan memos across experiments.
-            from repro.experiments.pool import WorkerPool
-
             pool = WorkerPool(n_workers)
 
     from contextlib import nullcontext

@@ -70,10 +70,6 @@ __all__ = [
 #: dispatch round-trip per cell.
 AUTO_BATCHES_PER_WORKER = 2
 
-#: Hard cap on cells per lease/batch under ``"auto"`` shaping, bounding
-#: both the requeue cost of a dead fleet worker and estimate error.
-AUTO_LEASE_MAX_CELLS = 16
-
 
 def resolve_batch_cells(value: int | str | None) -> int | str | None:
     """Validate a ``batch_cells`` knob: ``None``, ``"auto"`` or an int >= 1.
@@ -394,7 +390,8 @@ def _timed_call(fn, args: tuple):
     return os.getpid(), start, time.perf_counter() - start, result
 
 
-def _resolve_pool_jobs(jobs: int) -> int:
+def _resolve_jobs(jobs: int) -> int:
+    """Worker count for a ``jobs`` knob: ``-1`` means one per CPU."""
     if jobs == -1:
         return max(1, os.cpu_count() or 1)
     if jobs < 1:
@@ -437,7 +434,7 @@ class WorkerPool:
     _COUNT_KEYS = ("batches", "cells", "plans")
 
     def __init__(self, jobs: int = -1, *, prime: bool = True) -> None:
-        self.jobs = _resolve_pool_jobs(jobs)
+        self.jobs = _resolve_jobs(jobs)
         # Registry-backed phase counters: run_batches mutates them from
         # whichever thread drives the plan while monitors read .stats —
         # every increment happens under the registry lock, so a snapshot

@@ -193,8 +193,8 @@ def run_experiment(name: str, settings: ExperimentSettings | None = None, *,
         func = registry[name]
     except KeyError:
         raise KeyError(f"unknown experiment {name!r}; available: {sorted(registry)}") from None
-    from repro.experiments.pool import resolve_batch_cells
-    from repro.experiments.scheduler import EXECUTORS, _resolve_jobs
+    from repro.experiments.pool import _resolve_jobs, resolve_batch_cells
+    from repro.experiments.scheduler import EXECUTORS
 
     if executor not in EXECUTORS:
         raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
@@ -253,12 +253,10 @@ def run_all(settings: ExperimentSettings | None = None,
         raise ValueError("publish_models requires a store to publish into")
     own_pool = False
     if pool is None and executor == "process":
-        from repro.experiments.scheduler import _resolve_jobs
+        from repro.experiments.pool import WorkerPool, _resolve_jobs
 
         n_workers = _resolve_jobs(jobs)
         if n_workers > 1:
-            from repro.experiments.pool import WorkerPool
-
             pool = WorkerPool(n_workers)
             own_pool = True
     results: dict[str, ExperimentResult] = {}

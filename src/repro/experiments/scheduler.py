@@ -62,6 +62,7 @@ from repro.experiments.pool import (
     COST_MODEL,
     SharedDatasetRef,
     WorkerPool,
+    _resolve_jobs,
     resolve_batch_cells,
     shape_batches,
 )
@@ -77,14 +78,6 @@ __all__ = ["EXECUTORS", "PlanStateMemo", "evaluate_batch", "run_plan",
 
 #: Valid values of the ``executor`` argument / ``--executor`` CLI flag.
 EXECUTORS = ("serial", "process", "remote")
-
-
-def _resolve_jobs(jobs: int) -> int:
-    if jobs == -1:
-        return max(1, os.cpu_count() or 1)
-    if jobs < 1:
-        raise ValueError(f"jobs must be -1 or >= 1, got {jobs}")
-    return jobs
 
 
 def _resolve_data(plan: ExperimentPlan, store: DatasetStore | None,

@@ -24,8 +24,9 @@ Memory: the builder materializes one slot row per (tree, sample) pair —
 ``O(n_estimators * n * d)`` float64, plus an equally sized int64 presort
 for the ``"best"`` splitter.  That is the price of level-wide batching
 and is trivially small for this repo's datasets (a few thousand rows);
-for very large training sets pass ``engine="stack"`` to the forest to
-fall back to O(n)-overhead per-tree fitting.
+for very large training sets select the ``"stack"`` forest engine
+(``use_engines(forest="stack")``, see :mod:`repro.ml.engine`) to fall
+back to O(n)-overhead per-tree fitting.
 """
 
 from __future__ import annotations

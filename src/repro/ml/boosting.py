@@ -94,7 +94,7 @@ class GradientBoostingRegressor(BaseEstimator, RegressorMixin):
         from repro.ml.engine import resolve_build_engine
 
         binned = None
-        if resolve_build_engine(self.tree_method, None, kind="tree") == "hist":
+        if resolve_build_engine(self.tree_method, kind="tree") == "hist":
             from repro.ml._hist import bin_dataset
 
             binned = bin_dataset(X, self.max_bins)

@@ -22,43 +22,41 @@ The ML substrate ships four tree-construction engines:
   values than bins) and substantially faster on large datasets.
 
 ``"legacy"``, ``"stack"`` and ``"batched"`` are the *exact* engines (they
-scan true distinct thresholds); ``"hist"`` is selected either directly or
-through the estimator-level ``tree_method="hist"`` knob.
+scan true distinct thresholds).
 
-Estimators accept an ``engine`` parameter; ``None`` (the default) resolves
-to the module-wide defaults below, which :func:`use_engines` can override
-temporarily (used by the performance benchmarks to time one engine against
-another in the same process).  The estimator-level ``tree_method``
-parameter rides on top: ``None`` defers to the engine resolution (the
-defaults are exact, so seed results are unchanged), ``"exact"`` insists on
-an exact engine, and ``"hist"`` forces the histogram engine.
+Estimators have one selection knob, ``tree_method``: ``None`` (the
+default) builds with the process-wide default engine of the estimator's
+kind (``"stack"`` for a tree, ``"batched"`` for a forest), ``"exact"``
+insists on an exact engine and ``"hist"`` forces the histogram engine.
+:func:`set_default_engines` / :func:`use_engines` change the defaults —
+the performance benchmarks use them to time one engine against another
+in the same process.
+
+:func:`get_builder` is the single dispatch from an engine name to a
+whole-forest builder; the per-tree engines run one recursive or stack
+build per sample set (:func:`repro.ml.tree.build_forest_per_tree`).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import partial
 
 __all__ = [
-    "TREE_ENGINES",
-    "FOREST_ENGINES",
+    "ENGINES",
     "TREE_METHODS",
     "get_default_engines",
     "set_default_engines",
     "use_engines",
-    "resolve_tree_engine",
-    "resolve_forest_engine",
     "resolve_build_engine",
-    "get_batched_builder",
+    "get_builder",
 ]
 
-#: Engines understood by :class:`~repro.ml.tree.DecisionTreeRegressor`.
-TREE_ENGINES = ("legacy", "stack", "batched", "hist")
-
-#: Engines understood by the forest estimators.
-FOREST_ENGINES = ("legacy", "stack", "batched", "hist")
+#: Construction engines understood by the tree and forest estimators.
+ENGINES = ("legacy", "stack", "batched", "hist")
 
 #: Valid values of the estimator-level ``tree_method`` parameter
-#: (``None`` defers to the engine resolution).
+#: (``None`` defers to the process-wide default engine).
 TREE_METHODS = (None, "exact", "hist")
 
 #: Fallback exact engine per estimator kind when ``tree_method="exact"``
@@ -76,16 +74,12 @@ def get_default_engines() -> dict:
 def set_default_engines(*, tree: str | None = None, forest: str | None = None) -> dict:
     """Set the process-wide default engines; returns the previous defaults."""
     previous = dict(_defaults)
-    if tree is not None:
-        if tree not in TREE_ENGINES:
-            raise ValueError(f"tree engine must be one of {TREE_ENGINES}, got {tree!r}")
-        _defaults["tree"] = tree
-    if forest is not None:
-        if forest not in FOREST_ENGINES:
-            raise ValueError(
-                f"forest engine must be one of {FOREST_ENGINES}, got {forest!r}"
-            )
-        _defaults["forest"] = forest
+    for kind, engine in (("tree", tree), ("forest", forest)):
+        if engine is None:
+            continue
+        if engine not in ENGINES:
+            raise ValueError(f"{kind} engine must be one of {ENGINES}, got {engine!r}")
+        _defaults[kind] = engine
     return previous
 
 
@@ -99,78 +93,58 @@ def use_engines(*, tree: str | None = None, forest: str | None = None):
         set_default_engines(**previous)
 
 
-def resolve_tree_engine(engine: str | None) -> str:
-    """Resolve an estimator-level ``engine`` value to a concrete tree engine."""
-    engine = _defaults["tree"] if engine is None else engine
-    if engine not in TREE_ENGINES:
-        raise ValueError(f"engine must be None or one of {TREE_ENGINES}, got {engine!r}")
-    return engine
-
-
-def resolve_forest_engine(engine: str | None) -> str:
-    """Resolve an estimator-level ``engine`` value to a concrete forest engine."""
-    engine = _defaults["forest"] if engine is None else engine
-    if engine not in FOREST_ENGINES:
-        raise ValueError(
-            f"engine must be None or one of {FOREST_ENGINES}, got {engine!r}"
-        )
-    return engine
-
-
-def resolve_build_engine(tree_method: str | None, engine: str | None,
-                         *, kind: str) -> str:
-    """Resolve the ``(tree_method, engine)`` pair to the engine to build with.
+def resolve_build_engine(tree_method: str | None, *, kind: str) -> str:
+    """Resolve an estimator's ``tree_method`` to the engine to build with.
 
     Parameters
     ----------
     tree_method:
-        ``None`` (defer to the engine resolution), ``"exact"`` (insist on
+        ``None`` (the process default for *kind*), ``"exact"`` (insist on
         an exact-threshold engine) or ``"hist"`` (histogram binning).
-    engine:
-        The estimator's ``engine`` parameter (``None`` = process default).
     kind:
-        ``"tree"`` or ``"forest"`` — which default table applies.
+        ``"tree"`` or ``"forest"`` — which default applies.
 
-    ``tree_method="hist"`` conflicts with an explicit exact ``engine``;
-    ``tree_method="exact"`` combined with an explicit ``engine="hist"``
-    is equally contradictory.  When an *implicit* (process-default)
-    engine disagrees with an explicit ``tree_method``, the tree method
-    wins — ``"hist"`` selects the histogram engine, ``"exact"`` falls
-    back to the kind's default exact engine.
+    An explicit ``tree_method`` wins over a disagreeing process default:
+    ``"hist"`` selects the histogram engine, ``"exact"`` falls back to the
+    kind's default exact engine when the default is ``"hist"``.
     """
     if kind not in _EXACT_FALLBACK:
         raise ValueError(f"kind must be 'tree' or 'forest', got {kind!r}")
     if tree_method not in TREE_METHODS:
         raise ValueError(
             f"tree_method must be one of {TREE_METHODS}, got {tree_method!r}")
-    if tree_method is not None and engine is not None:
-        exact_engine = engine != "hist"
-        if (tree_method == "hist") == exact_engine:
-            raise ValueError(
-                f"tree_method={tree_method!r} conflicts with engine={engine!r}")
     if tree_method == "hist":
         return "hist"
-    resolved = (resolve_tree_engine(engine) if kind == "tree"
-                else resolve_forest_engine(engine))
-    if tree_method == "exact" and resolved == "hist":
+    engine = _defaults[kind]
+    if tree_method == "exact" and engine == "hist":
         return _EXACT_FALLBACK[kind]
-    return resolved
+    return engine
 
 
-def get_batched_builder(engine: str, max_bins: int):
-    """The whole-forest builder for a level-synchronous *engine*.
+def get_builder(engine: str, *, max_bins: int, n_jobs: int = 1,
+                prebinned=None):
+    """The whole-forest builder for *engine*.
 
-    Returns ``(build, extra_kwargs)`` where ``build`` has the shared
-    ``build_forest_batched`` signature and ``extra_kwargs`` carries the
-    engine-specific arguments — the single dispatch point used by both
-    the tree and the forest ``fit`` paths.
+    Every builder has the :func:`repro.ml._batched.build_forest_batched`
+    signature — ``build(X, y, *, sample_sets, seeds, splitter, max_depth,
+    min_samples_split, min_samples_leaf, max_features,
+    min_impurity_decrease) -> list[Tree]`` — so the tree and the forest
+    ``fit`` paths each make one call.  The engine-specific arguments are
+    bound here: *n_jobs* threads for the per-tree engines (``"legacy"``,
+    ``"stack"``), *max_bins* and the optional *prebinned* quantization for
+    ``"hist"``; the other engines ignore them.
     """
+    if engine in ("legacy", "stack"):
+        from repro.ml.tree import _StackTreeBuilder, _TreeBuilder, build_forest_per_tree
+
+        builder = _TreeBuilder if engine == "legacy" else _StackTreeBuilder
+        return partial(build_forest_per_tree, builder, n_jobs=n_jobs)
     if engine == "batched":
         from repro.ml._batched import build_forest_batched
 
-        return build_forest_batched, {}
+        return build_forest_batched
     if engine == "hist":
         from repro.ml._hist import build_forest_hist
 
-        return build_forest_hist, {"max_bins": max_bins}
-    raise ValueError(f"no batched builder for engine {engine!r}")
+        return partial(build_forest_hist, max_bins=max_bins, prebinned=prebinned)
+    raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")

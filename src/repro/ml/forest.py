@@ -20,10 +20,10 @@ sibling (:mod:`repro.ml._hist`) that scans quantile-bin boundaries
 instead of distinct thresholds.  Prediction always goes through a
 :class:`PackedForest` (:mod:`repro.ml._packed`), descending every tree
 for every query row in a single vectorized traversal.  The per-tree
-engines (``"stack"``, ``"legacy"``) remain available through the
-``engine`` parameter; the ``"legacy"`` engine also restores the original
-Python prediction loop so benchmarks can time the seed implementation
-end to end.
+engines (``"stack"``, ``"legacy"``) remain available as process-wide
+defaults (``use_engines(forest="stack")``, see :mod:`repro.ml.engine`);
+the ``"legacy"`` engine also restores the original Python prediction
+loop so benchmarks can time the seed implementation end to end.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ import numpy as np
 
 from repro.ml._packed import PackedForest
 from repro.ml.base import BaseEstimator, RegressorMixin
-from repro.ml.engine import get_batched_builder, resolve_build_engine
+from repro.ml.engine import get_builder, resolve_build_engine
 from repro.ml.tree import DecisionTreeRegressor
-from repro.parallel.threadpool import parallel_map
 from repro.utils.rng import check_random_state, spawn_seeds
 from repro.utils.validation import check_array, check_is_fitted, check_X_y
 
@@ -42,7 +41,32 @@ __all__ = ["RandomForestRegressor", "ExtraTreesRegressor", "BaseForestRegressor"
 
 
 class BaseForestRegressor(BaseEstimator, RegressorMixin):
-    """Shared fitting/prediction machinery for tree ensembles."""
+    """Shared fitting/prediction machinery for tree ensembles.
+
+    Parameters
+    ----------
+    n_estimators:
+        Number of trees.
+    max_depth, min_samples_split, min_samples_leaf, max_features:
+        Per-tree split rules, validated as by
+        :class:`~repro.ml.tree.DecisionTreeRegressor`.
+    bootstrap:
+        Train each tree on a bootstrap sample; ``None`` uses the
+        subclass default.
+    oob_score:
+        Compute out-of-bag predictions and R^2 (requires *bootstrap*).
+    n_jobs:
+        Threads fitting trees in parallel.  Only the per-tree engines
+        (``"stack"``, ``"legacy"``) use it; the whole-forest engines
+        (``"batched"``, ``"hist"``) ignore it.
+    random_state:
+        Seed of the per-tree seeds and bootstrap samples.
+    tree_method:
+        ``None`` (the process-default forest engine, see
+        :mod:`repro.ml.engine`), ``"exact"`` or ``"hist"``.
+    max_bins:
+        Quantile bins per feature for the ``"hist"`` method.
+    """
 
     # Subclasses fix these two class attributes.
     _splitter = "best"
@@ -60,7 +84,6 @@ class BaseForestRegressor(BaseEstimator, RegressorMixin):
         oob_score: bool = False,
         n_jobs: int = 1,
         random_state=None,
-        engine: str | None = None,
         tree_method: str | None = None,
         max_bins: int = 256,
     ) -> None:
@@ -73,7 +96,6 @@ class BaseForestRegressor(BaseEstimator, RegressorMixin):
         self.oob_score = oob_score
         self.n_jobs = n_jobs
         self.random_state = random_state
-        self.engine = engine
         self.tree_method = tree_method
         self.max_bins = max_bins
         self.estimators_: list[DecisionTreeRegressor] | None = None
@@ -88,7 +110,9 @@ class BaseForestRegressor(BaseEstimator, RegressorMixin):
         X, y = check_X_y(X, y)
         if self.n_estimators < 1:
             raise ValueError(f"n_estimators must be >= 1, got {self.n_estimators}")
-        engine = resolve_build_engine(self.tree_method, self.engine, kind="forest")
+        template = self._make_tree(None)
+        template._validate_hyperparameters()
+        engine = resolve_build_engine(self.tree_method, kind="forest")
         self.n_features_in_ = X.shape[1]
         bootstrap = self._default_bootstrap if self.bootstrap is None else self.bootstrap
         if self.oob_score and not bootstrap:
@@ -106,45 +130,23 @@ class BaseForestRegressor(BaseEstimator, RegressorMixin):
             else:
                 sample_sets.append(np.arange(n))
 
-        if engine in ("batched", "hist"):
-            build, extra = get_batched_builder(engine, self.max_bins)
-            template = DecisionTreeRegressor(max_features=self.max_features,
-                                             max_bins=self.max_bins)
-            trees = build(
-                X, y,
-                sample_sets=sample_sets,
-                seeds=tree_seeds,
-                splitter=self._splitter,
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=template._resolve_max_features(X.shape[1]),
-                min_impurity_decrease=0.0,
-                **extra,
-            )
-            self.estimators_ = []
-            for i, tree in enumerate(trees):
-                shell = self._make_tree(tree_seeds[i])
-                shell.tree_ = tree
-                shell.n_features_in_ = X.shape[1]
-                self.estimators_.append(shell)
-        else:
-            def _fit_one(i: int) -> DecisionTreeRegressor:
-                tree = self._make_tree(tree_seeds[i], engine=engine)
-                idx = sample_sets[i]
-                return tree.fit(X[idx], y[idx])
+        build = get_builder(engine, max_bins=self.max_bins, n_jobs=self.n_jobs)
+        trees = build(X, y, sample_sets=sample_sets, seeds=tree_seeds,
+                      **template._build_params(X.shape[1]))
+        self.estimators_ = []
+        for seed, tree in zip(tree_seeds, trees, strict=True):
+            shell = self._make_tree(seed)
+            shell.tree_ = tree
+            shell.n_features_in_ = X.shape[1]
+            self.estimators_.append(shell)
 
-            self.estimators_ = parallel_map(_fit_one, range(self.n_estimators),
-                                            n_jobs=self.n_jobs, chunked=True)
-
-        self.packed_ = None if engine == "legacy" else PackedForest(
-            [est.tree_ for est in self.estimators_])
+        self.packed_ = None if engine == "legacy" else PackedForest(trees)
 
         if self.oob_score:
             self._compute_oob(X, y, sample_sets)
         return self
 
-    def _make_tree(self, seed, engine: str | None = None) -> DecisionTreeRegressor:
+    def _make_tree(self, seed) -> DecisionTreeRegressor:
         return DecisionTreeRegressor(
             max_depth=self.max_depth,
             min_samples_split=self.min_samples_split,
@@ -152,7 +154,6 @@ class BaseForestRegressor(BaseEstimator, RegressorMixin):
             max_features=self.max_features,
             splitter=self._splitter,
             random_state=seed,
-            engine=engine,
             max_bins=self.max_bins,
         )
 
@@ -255,7 +256,6 @@ class ExtraTreesRegressor(BaseForestRegressor):
         oob_score: bool = False,
         n_jobs: int = 1,
         random_state=None,
-        engine: str | None = None,
         tree_method: str | None = None,
         max_bins: int = 256,
     ) -> None:
@@ -269,7 +269,6 @@ class ExtraTreesRegressor(BaseForestRegressor):
             oob_score=oob_score,
             n_jobs=n_jobs,
             random_state=random_state,
-            engine=engine,
             tree_method=tree_method,
             max_bins=max_bins,
         )

@@ -16,9 +16,12 @@ Four construction engines are available (see :mod:`repro.ml.engine`):
 the original recursive builder (``"legacy"``), a bit-identical presorted
 work-stack builder (``"stack"``, the default — no per-node ``argsort``, no
 Python recursion), the level-synchronous ``"batched"`` builder shared
-with the forest estimators, and its histogram-binned sibling (``"hist"``,
-also selectable via ``tree_method="hist"``).  Candidate-split scoring is
-vectorized with
+with the forest estimators, and its histogram-binned sibling (``"hist"``).
+An estimator picks one with ``tree_method`` (``"hist"`` or an exact
+engine); which exact engine runs is the process-wide default
+(:func:`repro.ml.engine.use_engines`).  :func:`build_forest_per_tree`
+runs the two per-tree builders behind the whole-forest builder signature
+the engine dispatch returns.  Candidate-split scoring is vectorized with
 cumulative sums over the sorted targets, and prediction descends all query
 rows through the flat node arrays simultaneously.
 """
@@ -30,11 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ml.base import BaseEstimator, RegressorMixin
-from repro.ml.engine import get_batched_builder, resolve_build_engine
+from repro.ml.engine import get_builder, resolve_build_engine
+from repro.parallel.threadpool import parallel_map
 from repro.utils.rng import check_random_state
 from repro.utils.validation import check_array, check_is_fitted, check_X_y
 
-__all__ = ["DecisionTreeRegressor", "Tree"]
+__all__ = ["DecisionTreeRegressor", "Tree", "build_forest_per_tree"]
 
 _NO_CHILD = -1
 
@@ -456,7 +460,26 @@ class _StackTreeBuilder(_TreeBuilder):
         return float(sse[best_i]), float(threshold)
 
 
-_BUILDERS = {"legacy": _TreeBuilder, "stack": _StackTreeBuilder}
+def build_forest_per_tree(builder_cls: type[_TreeBuilder], X: np.ndarray,
+                          y: np.ndarray, *, sample_sets: list[np.ndarray],
+                          seeds: list, n_jobs: int = 1, **params) -> list[Tree]:
+    """Grow one tree per sample set with a per-tree builder class.
+
+    The ``"legacy"`` / ``"stack"`` engines behind the whole-forest builder
+    signature of :func:`repro.ml._batched.build_forest_batched`: tree ``i``
+    is built by ``builder_cls`` seeded with ``seeds[i]`` on the rows
+    ``sample_sets[i]``, on up to *n_jobs* threads.  A sample set holding
+    every row in order is built on *X* itself, uncopied.
+    """
+    every_row = np.arange(X.shape[0])
+
+    def build_one(i: int) -> Tree:
+        rows = sample_sets[i]
+        Xi, yi = (X, y) if np.array_equal(rows, every_row) else (X[rows], y[rows])
+        return builder_cls(rng=check_random_state(seeds[i]), **params).build(Xi, yi)
+
+    return parallel_map(build_one, range(len(sample_sets)), n_jobs=n_jobs,
+                        chunked=True)
 
 
 class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
@@ -480,14 +503,11 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
         Minimum weighted variance reduction required to keep a split.
     random_state:
         Seed controlling feature shuffling and random thresholds.
-    engine:
-        Construction engine: ``"legacy"``, ``"stack"``, ``"batched"`` or
-        ``"hist"``; ``None`` uses the process default (see
-        :mod:`repro.ml.engine`).
     tree_method:
-        ``None`` (defer to *engine*), ``"exact"`` (insist on exact
-        threshold search) or ``"hist"`` (histogram-binned split search,
-        see :mod:`repro.ml._hist`).
+        ``None`` (the process-default tree engine, see
+        :mod:`repro.ml.engine`), ``"exact"`` (insist on exact threshold
+        search) or ``"hist"`` (histogram-binned split search, see
+        :mod:`repro.ml._hist`).
     max_bins:
         Quantile bins per feature for the ``"hist"`` method (ignored by
         the exact engines).
@@ -503,7 +523,6 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
         splitter: str = "best",
         min_impurity_decrease: float = 0.0,
         random_state=None,
-        engine: str | None = None,
         tree_method: str | None = None,
         max_bins: int = 256,
     ) -> None:
@@ -514,7 +533,6 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
         self.splitter = splitter
         self.min_impurity_decrease = min_impurity_decrease
         self.random_state = random_state
-        self.engine = engine
         self.tree_method = tree_method
         self.max_bins = max_bins
         self.tree_: Tree | None = None
@@ -532,35 +550,11 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
         X, y = check_X_y(X, y)
         self._validate_hyperparameters()
         self.n_features_in_ = X.shape[1]
-        engine = resolve_build_engine(self.tree_method, self.engine, kind="tree")
-        if engine in ("batched", "hist"):
-            build, extra = get_batched_builder(engine, self.max_bins)
-            if engine == "hist" and _hist_prebinned is not None:
-                extra["prebinned"] = _hist_prebinned
-
-            self.tree_ = build(
-                X, y,
-                sample_sets=[np.arange(X.shape[0])],
-                seeds=[self.random_state],
-                splitter=self.splitter,
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=self._resolve_max_features(X.shape[1]),
-                min_impurity_decrease=self.min_impurity_decrease,
-                **extra,
-            )[0]
-            return self
-        builder = _BUILDERS[engine](
-            splitter=self.splitter,
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=self._resolve_max_features(X.shape[1]),
-            min_impurity_decrease=self.min_impurity_decrease,
-            rng=check_random_state(self.random_state),
-        )
-        self.tree_ = builder.build(X, y)
+        build = get_builder(resolve_build_engine(self.tree_method, kind="tree"),
+                            max_bins=self.max_bins, prebinned=_hist_prebinned)
+        self.tree_ = build(X, y, sample_sets=[np.arange(X.shape[0])],
+                           seeds=[self.random_state],
+                           **self._build_params(X.shape[1]))[0]
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -631,6 +625,17 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
             raise ValueError("min_impurity_decrease must be >= 0")
         if self.max_bins < 2:
             raise ValueError(f"max_bins must be >= 2, got {self.max_bins}")
+
+    def _build_params(self, n_features: int) -> dict:
+        """The builders' split-rule arguments, ``max_features`` resolved."""
+        return dict(
+            splitter=self.splitter,
+            max_depth=self.max_depth,
+            min_samples_split=self.min_samples_split,
+            min_samples_leaf=self.min_samples_leaf,
+            max_features=self._resolve_max_features(n_features),
+            min_impurity_decrease=self.min_impurity_decrease,
+        )
 
     def _resolve_max_features(self, n_features: int) -> int:
         mf = self.max_features

@@ -801,7 +801,7 @@ class TestFleetKnobCli:
         from repro.experiments.__main__ import main
 
         for flag, value in [("--heartbeat-timeout", "5"),
-                            ("--batch-size", "2"), ("--max-retries", "1")]:
+                            ("--batch-cells", "2"), ("--max-retries", "1")]:
             with pytest.raises(SystemExit):
                 main(["figure6", "--quick", flag, value])
 
@@ -810,7 +810,7 @@ class TestFleetKnobCli:
 
         base = ["figure6", "--quick", "--executor", "remote", "--jobs", "1"]
         for flag, bad in [("--heartbeat-timeout", "0"),
-                          ("--batch-size", "0"), ("--max-retries", "-1")]:
+                          ("--batch-cells", "0"), ("--max-retries", "-1")]:
             with pytest.raises(SystemExit):
                 main(base + [flag, bad])
 
@@ -827,7 +827,7 @@ class TestFleetKnobCli:
         monkeypatch.setattr("repro.distributed.coordinator.Coordinator", _Probe)
         with pytest.raises(RuntimeError, match="probe stop"):
             main(["figure6", "--quick", "--executor", "remote", "--jobs", "2",
-                  "--heartbeat-timeout", "2.5", "--batch-size", "3",
+                  "--heartbeat-timeout", "2.5", "--batch-cells", "3",
                   "--max-retries", "7"])
         assert captured["heartbeat_timeout"] == 2.5
         assert captured["batch_size"] == 3
@@ -864,9 +864,9 @@ class TestFleetKnobCli:
         with pytest.raises(SystemExit):  # bad value
             main(["figure6", "--quick", "--executor", "process", "--jobs", "2",
                   "--batch-cells", "bogus"])
-        with pytest.raises(SystemExit):  # conflicts with the fleet knob
+        with pytest.raises(SystemExit):  # the removed lease-size flag
             main(["figure6", "--quick", "--executor", "remote", "--jobs", "2",
-                  "--batch-cells", "4", "--batch-size", "2"])
+                  "--batch-size", "2"])
 
     def test_worker_cli_rejects_bad_retry_knobs(self):
         from repro.distributed.worker import main

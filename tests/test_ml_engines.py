@@ -12,7 +12,7 @@ import pytest
 
 from repro.ml import use_engines
 from repro.ml._packed import PackedForest
-from repro.ml.engine import get_default_engines, resolve_tree_engine
+from repro.ml.engine import get_default_engines, set_default_engines
 from repro.ml.forest import ExtraTreesRegressor, RandomForestRegressor
 from repro.ml.metrics import r2_score
 from repro.ml.tree import DecisionTreeRegressor
@@ -26,6 +26,13 @@ def data():
     X[:, 3] = np.round(X[:, 3])
     y = np.where(X[:, 0] > 5, 10.0, 1.0) + 0.4 * X[:, 1] ** 2 + 0.1 * rng.normal(size=400)
     return X, y
+
+
+def fit_with(engine, model, X, y):
+    """Fit *model* with *engine* as the process default for its kind."""
+    kind = "tree" if isinstance(model, DecisionTreeRegressor) else "forest"
+    with use_engines(**{kind: engine}):
+        return model.fit(X, y)
 
 
 def assert_trees_identical(a, b):
@@ -45,10 +52,10 @@ class TestSeedEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 42])
     def test_stack_matches_legacy(self, data, splitter, seed):
         X, y = data
-        legacy = DecisionTreeRegressor(
-            splitter=splitter, random_state=seed, engine="legacy").fit(X, y)
-        stack = DecisionTreeRegressor(
-            splitter=splitter, random_state=seed, engine="stack").fit(X, y)
+        legacy = fit_with("legacy", DecisionTreeRegressor(
+            splitter=splitter, random_state=seed), X, y)
+        stack = fit_with("stack", DecisionTreeRegressor(
+            splitter=splitter, random_state=seed), X, y)
         assert_trees_identical(legacy.tree_, stack.tree_)
 
     @pytest.mark.parametrize("splitter", ["best", "random"])
@@ -60,17 +67,17 @@ class TestSeedEquivalence:
     ])
     def test_stack_matches_legacy_hyperparameters(self, data, splitter, kwargs):
         X, y = data
-        legacy = DecisionTreeRegressor(
-            splitter=splitter, random_state=3, engine="legacy", **kwargs).fit(X, y)
-        stack = DecisionTreeRegressor(
-            splitter=splitter, random_state=3, engine="stack", **kwargs).fit(X, y)
+        legacy = fit_with("legacy", DecisionTreeRegressor(
+            splitter=splitter, random_state=3, **kwargs), X, y)
+        stack = fit_with("stack", DecisionTreeRegressor(
+            splitter=splitter, random_state=3, **kwargs), X, y)
         assert_trees_identical(legacy.tree_, stack.tree_)
 
     @pytest.mark.parametrize("cls", [RandomForestRegressor, ExtraTreesRegressor])
     def test_stack_forest_matches_legacy_forest(self, data, cls):
         X, y = data
-        legacy = cls(n_estimators=6, random_state=0, engine="legacy").fit(X, y)
-        stack = cls(n_estimators=6, random_state=0, engine="stack").fit(X, y)
+        legacy = fit_with("legacy", cls(n_estimators=6, random_state=0), X, y)
+        stack = fit_with("stack", cls(n_estimators=6, random_state=0), X, y)
         for a, b in zip(legacy.estimators_, stack.estimators_, strict=True):
             assert_trees_identical(a.tree_, b.tree_)
         np.testing.assert_allclose(legacy.predict(X), stack.predict(X), rtol=1e-12)
@@ -80,10 +87,10 @@ class TestBatchedEngine:
     @pytest.mark.parametrize("splitter", ["best", "random"])
     def test_deterministic_given_seed(self, data, splitter):
         X, y = data
-        t1 = DecisionTreeRegressor(splitter=splitter, random_state=5,
-                                   engine="batched").fit(X, y)
-        t2 = DecisionTreeRegressor(splitter=splitter, random_state=5,
-                                   engine="batched").fit(X, y)
+        t1 = fit_with("batched", DecisionTreeRegressor(
+            splitter=splitter, random_state=5), X, y)
+        t2 = fit_with("batched", DecisionTreeRegressor(
+            splitter=splitter, random_state=5), X, y)
         assert_trees_identical(t1.tree_, t2.tree_)
 
     def test_best_splitter_matches_stack_structure(self, data):
@@ -92,34 +99,33 @@ class TestBatchedEngine:
         depth, and training predictions) even though node numbering is
         level-order instead of depth-first."""
         X, y = data
-        batched = DecisionTreeRegressor(random_state=0, engine="batched").fit(X, y)
-        stack = DecisionTreeRegressor(random_state=0, engine="stack").fit(X, y)
+        batched = fit_with("batched", DecisionTreeRegressor(random_state=0), X, y)
+        stack = fit_with("stack", DecisionTreeRegressor(random_state=0), X, y)
         assert batched.tree_.node_count == stack.tree_.node_count
         assert batched.tree_.max_depth == stack.tree_.max_depth
         np.testing.assert_allclose(batched.predict(X), stack.predict(X))
 
     def test_constraints_respected(self, data):
         X, y = data
-        model = DecisionTreeRegressor(splitter="random", max_depth=4,
-                                      min_samples_leaf=9, random_state=0,
-                                      engine="batched").fit(X, y)
+        model = fit_with("batched", DecisionTreeRegressor(
+            splitter="random", max_depth=4, min_samples_leaf=9, random_state=0), X, y)
         assert model.get_depth() <= 4
         _, counts = np.unique(model.apply(X), return_counts=True)
         assert counts.min() >= 9
 
     def test_min_impurity_decrease_prunes(self, data):
         X, y = data
-        loose = DecisionTreeRegressor(random_state=0, engine="batched").fit(X, y)
-        strict = DecisionTreeRegressor(min_impurity_decrease=1.0, random_state=0,
-                                       engine="batched").fit(X, y)
+        loose = fit_with("batched", DecisionTreeRegressor(random_state=0), X, y)
+        strict = fit_with("batched", DecisionTreeRegressor(
+            min_impurity_decrease=1.0, random_state=0), X, y)
         assert strict.get_n_leaves() < loose.get_n_leaves()
 
     @pytest.mark.parametrize("cls", [RandomForestRegressor, ExtraTreesRegressor])
     def test_forest_quality_matches_per_tree_engines(self, data, cls):
         X, y = data
         Xtr, ytr, Xte, yte = X[:300], y[:300], X[300:], y[300:]
-        batched = cls(n_estimators=20, random_state=0, engine="batched").fit(Xtr, ytr)
-        stack = cls(n_estimators=20, random_state=0, engine="stack").fit(Xtr, ytr)
+        batched = fit_with("batched", cls(n_estimators=20, random_state=0), Xtr, ytr)
+        stack = fit_with("stack", cls(n_estimators=20, random_state=0), Xtr, ytr)
         r2_batched = r2_score(yte, batched.predict(Xte))
         r2_stack = r2_score(yte, stack.predict(Xte))
         assert r2_batched > 0.9
@@ -129,23 +135,23 @@ class TestBatchedEngine:
         """A tree's RNG stream depends only on its own frontier, so the
         first trees of differently-sized forests are identical."""
         X, y = data
-        small = ExtraTreesRegressor(n_estimators=2, random_state=0,
-                                    engine="batched").fit(X, y)
-        large = ExtraTreesRegressor(n_estimators=6, random_state=0,
-                                    engine="batched").fit(X, y)
+        small = fit_with("batched", ExtraTreesRegressor(
+            n_estimators=2, random_state=0), X, y)
+        large = fit_with("batched", ExtraTreesRegressor(
+            n_estimators=6, random_state=0), X, y)
         for a, b in zip(small.estimators_, large.estimators_[:2], strict=True):
             assert_trees_identical(a.tree_, b.tree_)
 
     def test_constant_target_single_leaf(self):
         X = np.random.default_rng(1).random((30, 3))
-        model = DecisionTreeRegressor(engine="batched").fit(X, np.full(30, 2.5))
+        model = fit_with("batched", DecisionTreeRegressor(), X, np.full(30, 2.5))
         assert model.get_n_leaves() == 1
         np.testing.assert_allclose(model.predict(X), 2.5)
 
     def test_bootstrap_oob_supported(self, data):
         X, y = data
-        model = RandomForestRegressor(n_estimators=25, oob_score=True,
-                                      random_state=0, engine="batched").fit(X, y)
+        model = fit_with("batched", RandomForestRegressor(
+            n_estimators=25, oob_score=True, random_state=0), X, y)
         assert model.oob_score_ is not None and model.oob_score_ > 0.5
 
 
@@ -196,25 +202,23 @@ class TestEngineSelection:
             assert get_default_engines() == {"tree": "legacy", "forest": "legacy"}
         assert get_default_engines() == {"tree": "stack", "forest": "batched"}
 
-    def test_invalid_engine_rejected(self, data):
-        X, y = data
+    def test_invalid_engine_rejected(self):
         with pytest.raises(ValueError, match="engine"):
-            DecisionTreeRegressor(engine="turbo").fit(X, y)
+            set_default_engines(tree="turbo")
         with pytest.raises(ValueError, match="engine"):
-            ExtraTreesRegressor(engine="turbo").fit(X, y)
-        with pytest.raises(ValueError):
-            resolve_tree_engine("warp")
-
-    def test_engine_roundtrips_through_params(self):
-        model = ExtraTreesRegressor(engine="stack")
-        assert model.get_params(deep=False)["engine"] == "stack"
+            set_default_engines(forest="turbo")
+        assert get_default_engines() == {"tree": "stack", "forest": "batched"}
+        with pytest.raises(TypeError, match="engine"):
+            DecisionTreeRegressor(engine="stack")
+        with pytest.raises(TypeError, match="engine"):
+            ExtraTreesRegressor(engine="stack")
 
 
 class TestVectorizedMaxDepth:
     @pytest.mark.parametrize("engine", ["legacy", "stack", "batched"])
     def test_matches_per_node_reference(self, data, engine):
         X, y = data
-        tree = DecisionTreeRegressor(random_state=0, engine=engine).fit(X, y).tree_
+        tree = fit_with(engine, DecisionTreeRegressor(random_state=0), X, y).tree_
         depth = np.zeros(tree.node_count, dtype=np.int64)
         for node in range(tree.node_count):
             for child in (tree.left[node], tree.right[node]):

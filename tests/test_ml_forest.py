@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.ml import use_engines
 from repro.ml.forest import ExtraTreesRegressor, RandomForestRegressor
 from repro.ml.metrics import r2_score
+from repro.ml.tree import DecisionTreeRegressor
 from repro.utils.validation import NotFittedError
+
+from tests.test_ml_engines import assert_trees_identical
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +106,37 @@ class TestEnsembleBehaviour:
             ExtraTreesRegressor(n_estimators=3, oob_score=True, bootstrap=False).fit(Xtr, ytr)
 
     def test_parallel_fit_matches_serial(self, data):
+        # n_jobs only reaches the per-tree engines; the default batched
+        # engine grows every tree in one pass and ignores it.
         Xtr, ytr, Xte, _ = data
-        serial = ExtraTreesRegressor(n_estimators=8, random_state=0, n_jobs=1).fit(Xtr, ytr)
-        threaded = ExtraTreesRegressor(n_estimators=8, random_state=0, n_jobs=4).fit(Xtr, ytr)
-        np.testing.assert_allclose(serial.predict(Xte), threaded.predict(Xte))
+        for engine in ("stack", "legacy"):
+            with use_engines(forest=engine):
+                serial = ExtraTreesRegressor(n_estimators=8, random_state=0,
+                                             n_jobs=1).fit(Xtr, ytr)
+                threaded = ExtraTreesRegressor(n_estimators=8, random_state=0,
+                                               n_jobs=4).fit(Xtr, ytr)
+            for a, b in zip(serial.estimators_, threaded.estimators_, strict=True):
+                assert_trees_identical(a.tree_, b.tree_)
+            np.testing.assert_allclose(serial.predict(Xte), threaded.predict(Xte))
+
+
+class TestHyperparameterValidation:
+    """Forests reject bad split rules exactly as a single tree does,
+    whichever engine builds them."""
+
+    @pytest.mark.parametrize("setting", ["default", "hist", "stack"])
+    @pytest.mark.parametrize("cls", [RandomForestRegressor, ExtraTreesRegressor])
+    @pytest.mark.parametrize("param,value", [
+        ("max_depth", 0), ("min_samples_split", 1), ("min_samples_leaf", 0),
+    ])
+    def test_bad_split_rules_rejected(self, data, cls, setting, param, value):
+        Xtr, ytr, _, _ = data
+        kwargs = {param: value}
+        with pytest.raises(ValueError) as tree_error:
+            DecisionTreeRegressor(**kwargs).fit(Xtr, ytr)
+        tree_method = "hist" if setting == "hist" else None
+        forest = cls(n_estimators=3, random_state=0, tree_method=tree_method, **kwargs)
+        engines = {"forest": "stack"} if setting == "stack" else {}
+        with use_engines(**engines), pytest.raises(ValueError) as forest_error:
+            forest.fit(Xtr, ytr)
+        assert str(forest_error.value) == str(tree_error.value)

@@ -34,7 +34,7 @@ from repro.ml.engine import resolve_build_engine
 from repro.ml.metrics import r2_score
 from repro.ml.model_selection import train_test_split
 
-from tests.test_ml_engines import assert_trees_identical
+from tests.test_ml_engines import assert_trees_identical, fit_with
 
 TINY = ExperimentSettings(n_estimators=4, n_repeats=2, max_configs=120, random_state=0)
 
@@ -134,8 +134,8 @@ class TestExactness:
     ])
     def test_best_tree_matches_batched(self, exact_regime_data, kwargs):
         X, y = exact_regime_data
-        batched = DecisionTreeRegressor(random_state=3, engine="batched",
-                                        **kwargs).fit(X, y)
+        batched = fit_with("batched", DecisionTreeRegressor(random_state=3, **kwargs),
+                           X, y)
         hist = DecisionTreeRegressor(random_state=3, tree_method="hist",
                                      **kwargs).fit(X, y)
         assert_trees_equivalent(batched.tree_, hist.tree_, X)
@@ -145,9 +145,8 @@ class TestExactness:
         # partition check is valid for all rows (out-of-bag rows may fall
         # inside a threshold gap where the engines' thresholds differ).
         X, y = exact_regime_data
-        batched = RandomForestRegressor(n_estimators=6, random_state=0,
-                                        min_samples_leaf=5, bootstrap=False,
-                                        engine="batched").fit(X, y)
+        batched = fit_with("batched", RandomForestRegressor(
+            n_estimators=6, random_state=0, min_samples_leaf=5, bootstrap=False), X, y)
         hist = RandomForestRegressor(n_estimators=6, random_state=0,
                                      min_samples_leaf=5, bootstrap=False,
                                      tree_method="hist").fit(X, y)
@@ -159,8 +158,8 @@ class TestExactness:
         rng = np.random.default_rng(2)
         X = rng.integers(0, 12, size=(300, 3)).astype(float)
         y = X[:, 0] * 2.0 - X[:, 1] + 0.1 * rng.normal(size=300)
-        batched = DecisionTreeRegressor(random_state=0, min_samples_leaf=8,
-                                        engine="batched").fit(X, y)
+        batched = fit_with("batched", DecisionTreeRegressor(
+            random_state=0, min_samples_leaf=8), X, y)
         hist = DecisionTreeRegressor(random_state=0, min_samples_leaf=8,
                                      tree_method="hist", max_bins=12).fit(X, y)
         assert_trees_equivalent(batched.tree_, hist.tree_, X)
@@ -305,21 +304,9 @@ class TestEngineResolution:
         with pytest.raises(ValueError, match="tree_method"):
             DecisionTreeRegressor(tree_method="fast").fit(X, y)
         with pytest.raises(ValueError, match="tree_method"):
-            resolve_build_engine("fast", None, kind="tree")
+            resolve_build_engine("fast", kind="tree")
         with pytest.raises(ValueError, match="kind"):
-            resolve_build_engine(None, None, kind="grove")
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(engine="stack", tree_method="hist"),
-        dict(engine="batched", tree_method="hist"),
-        dict(engine="hist", tree_method="exact"),
-    ])
-    def test_conflicting_combinations_rejected(self, data, kwargs):
-        X, y = data
-        with pytest.raises(ValueError, match="conflicts"):
-            DecisionTreeRegressor(**kwargs).fit(X, y)
-        with pytest.raises(ValueError, match="conflicts"):
-            ExtraTreesRegressor(n_estimators=2, **kwargs).fit(X, y)
+            resolve_build_engine(None, kind="grove")
 
     def test_exact_resists_hist_default(self, data):
         X, y = data
@@ -333,7 +320,7 @@ class TestEngineResolution:
 
     def test_engine_hist_equals_tree_method_hist(self, data):
         X, y = data
-        a = DecisionTreeRegressor(random_state=0, engine="hist").fit(X, y)
+        a = fit_with("hist", DecisionTreeRegressor(random_state=0), X, y)
         b = DecisionTreeRegressor(random_state=0, tree_method="hist").fit(X, y)
         assert_trees_identical(a.tree_, b.tree_)
 
