@@ -801,7 +801,7 @@ class TestFleetKnobCli:
         from repro.experiments.__main__ import main
 
         for flag, value in [("--heartbeat-timeout", "5"),
-                            ("--batch-cells", "2"), ("--max-retries", "1")]:
+                            ("--max-retries", "1")]:
             with pytest.raises(SystemExit):
                 main(["figure6", "--quick", flag, value])
 
