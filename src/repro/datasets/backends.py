@@ -35,10 +35,8 @@ unverified for backward compatibility.
 
 ``resolve_backend`` maps a locator URL (``file://``, ``memory://``,
 ``http://``/``https://``) to a backend instance — the registry behind
-the ``--store-url`` CLI flag and the store locator the distributed
-coordinator advertises to fleet workers, so a cold worker can bootstrap
-datasets and warmed caches *directly* from shared storage instead of
-relaying blobs through the coordinator's socket.
+the ``--store-url`` CLI flag and the store locator that process-pool
+and locally spawned fleet workers open the parent's store with.
 """
 
 from __future__ import annotations
@@ -100,7 +98,7 @@ class IntegrityError(RuntimeError):
     Raised by :meth:`StoreBackend.read` before the corrupt bytes reach
     any deserializer.  Consumers reject-and-refetch: the
     :class:`~repro.datasets.store.DatasetStore` deletes the blob and
-    regenerates, a fleet worker falls back to the coordinator relay.
+    regenerates, a fleet worker refetches a relay blob.
     """
 
     def __init__(self, key: str, expected: str, actual: str) -> None:
@@ -159,8 +157,8 @@ class StoreBackend(abc.ABC):
         """URL another process can use to open this same store.
 
         ``None`` when the backend is not shareable (an anonymous
-        in-memory store); the distributed coordinator only advertises
-        non-``None`` locators to fleet workers.
+        in-memory store); only non-``None`` locators are handed to
+        worker processes.
         """
 
     @abc.abstractmethod

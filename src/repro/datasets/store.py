@@ -234,9 +234,8 @@ class DatasetStore:
     def locator(self) -> str | None:
         """URL another process can open this store with (``None``: not shareable).
 
-        The distributed coordinator advertises this in its
-        ``PlanAssignment`` manifests so fleet workers can bootstrap
-        artifacts directly from shared storage.
+        Process-pool workers and locally spawned fleet workers open the
+        parent's store through it.
         """
         return self.backend.locator
 
@@ -341,10 +340,9 @@ class DatasetStore:
         """The dataset as raw ``.npz`` bytes (the store's artifact format).
 
         The byte form doubles as the wire format of the distributed
-        fleet's store bootstrap: the coordinator (or the shared object
-        store) ships exactly what the worker's store would hold, so a
-        downloaded blob round-trips through :meth:`put_dataset_bytes` +
-        :meth:`get` bit-for-bit.
+        fleet's relay: the coordinator ships exactly what the worker's
+        store would hold, so a relayed blob round-trips through
+        :meth:`put_dataset_bytes` + :meth:`get` bit-for-bit.
         """
         buf = io.BytesIO()
         np.savez(
@@ -361,10 +359,6 @@ class DatasetStore:
     def decode_dataset_bytes(cls, data: bytes) -> PerformanceDataset:
         """Inverse of :meth:`encode_dataset` (store-less workers use this)."""
         return cls._load_dataset(io.BytesIO(data))
-
-    def dataset_bytes(self, spec: DatasetSpec) -> bytes:
-        """Raw stored bytes of the dataset of *spec* (:class:`KeyError` when absent)."""
-        return self.backend.read(self.dataset_key(spec))
 
     def put_dataset_bytes(self, spec: DatasetSpec, data: bytes):
         """Install pre-encoded dataset bytes under the fingerprint of *spec*."""
@@ -422,10 +416,6 @@ class DatasetStore:
         cache.save(buf)
         self.backend.write(key, buf.getvalue())
         return self._artifact_path(key)
-
-    def cache_bytes(self, model_key: str, spec: DatasetSpec) -> bytes:
-        """Raw bytes of the ``(model_key, spec)`` cache (:class:`KeyError` when absent)."""
-        return self.backend.read(self.cache_key(model_key, spec))
 
     def put_cache_bytes(self, model_key: str, spec: DatasetSpec, data: bytes):
         """Install pre-encoded cache bytes under ``(model_key, spec)``."""

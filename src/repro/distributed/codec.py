@@ -127,8 +127,7 @@ def _load_registry() -> None:
         # Frame vocabulary (every type recv_message may return).
         protocol.Hello, protocol.Welcome, protocol.Reject,
         protocol.GetPlan, protocol.PlanAssignment, protocol.NoPlan,
-        protocol.Goodbye, protocol.FetchDataset, protocol.DatasetBlob,
-        protocol.FetchCache, protocol.CacheBlob, protocol.GetBatch,
+        protocol.Goodbye, protocol.Fetch, protocol.Blob, protocol.GetBatch,
         protocol.Batch, protocol.Idle, protocol.PlanDone,
         protocol.Results, protocol.Ack, protocol.Heartbeat,
         # Payload objects frames carry (all plain-data dataclasses).

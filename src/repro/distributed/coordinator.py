@@ -39,15 +39,13 @@ setting :attr:`elastic` suppresses the all-local-workers-exited fail-fast
 
 Store bootstrap
 ---------------
-When the parent store is shareable (``file://`` locator on a shared
-filesystem, ``http://`` object store), its locator is advertised in the
-:class:`PlanAssignment` manifest and cold workers read the dataset and
-warmed caches **directly from shared storage** — fleet cold-start no
-longer serializes every blob through this one socket.  The coordinator
-still snapshots the resolved dataset and every warmed analytical cache
-as raw ``.npz`` blobs (read from the parent store when present, encoded
-in memory otherwise) and serves them as the relay fallback to workers
-that have no advertised store or cannot reach it.
+Workers load plan artifacts from their own store when it holds them.
+For everything else they use the relay: per plan, the coordinator
+encodes the dataset and every warmed analytical cache the driver
+already resolved as raw ``.npz`` blobs with their SHA-256 digests, and
+answers each :class:`~repro.distributed.protocol.Fetch` with one
+:class:`~repro.distributed.protocol.Blob`.  The coordinator never
+reads a store itself.
 """
 
 from __future__ import annotations
@@ -66,18 +64,15 @@ from collections import deque
 from pathlib import Path
 
 from repro.core.evaluation import CellResult
-from repro.datasets.backends import IntegrityError
 from repro.datasets.store import _FORMAT_VERSION, DatasetStore, _simulator_versions
 from repro.distributed import protocol
 from repro.distributed.protocol import (
     PROTOCOL_VERSION,
     Ack,
     Batch,
-    CacheBlob,
+    Blob,
     ConnectionClosed,
-    DatasetBlob,
-    FetchCache,
-    FetchDataset,
+    Fetch,
     GetBatch,
     GetPlan,
     Goodbye,
@@ -124,13 +119,11 @@ class _Job:
     """One plan's in-flight state: queue, completed results, retry counts."""
 
     def __init__(self, plan, plan_id: str, cells: list,
-                 dataset_blob: bytes, cache_blobs: dict[str, bytes],
-                 store_ok: bool, store_url: str | None = None,
+                 blobs: dict[str | None, bytes], store_ok: bool,
                  auto_leases: bool = False) -> None:
         self.plan = plan
         self.plan_id = plan_id
         self.store_ok = store_ok
-        self.store_url = store_url
         self.cells = cells
         self.lease_budget: float | None = None
         if auto_leases:
@@ -147,13 +140,10 @@ class _Job:
             self.queue = deque(cells)
         self.completed: dict[tuple, CellResult] = {}
         self.retries: dict[tuple, int] = {}
-        self.dataset_blob = dataset_blob
-        self.cache_blobs = cache_blobs
-        # Relay-blob content digests: workers verify what arrives over the
-        # socket against these before deserializing.
-        self.dataset_sha256 = hashlib.sha256(dataset_blob).hexdigest()
-        self.cache_sha256s = {key: hashlib.sha256(blob).hexdigest()
-                              for key, blob in cache_blobs.items()}
+        # Relay blobs keyed like Fetch.model_key (None: the dataset), each
+        # with the content digest workers verify before deserializing.
+        self.blobs = {key: (blob, hashlib.sha256(blob).hexdigest())
+                      for key, blob in blobs.items()}
         self.lease_durations: list[float] = []  # completed leases, seconds
         self.failure: str | None = None
         #: Plan span context shipped in every Batch (None = tracing off).
@@ -468,38 +458,30 @@ class Coordinator:
             self._retire_pending += n
 
     def execute(self, plan, cells: list, dataset, caches: dict, *,
-                store: DatasetStore | None = None,
                 dataset_override: bool = False) -> list[CellResult]:
         """Run every cell of *plan* on the fleet; results in plan order.
 
         *dataset* and *caches* are the parent-resolved plan state (the
-        same objects the other executors use); *store*, when given, is the
-        parent's persistent store whose on-disk artifacts back the
-        bootstrap blobs (otherwise the blobs are encoded in memory).
+        same objects the other executors use); they are encoded once into
+        the relay blobs that workers without the artifacts fetch.
 
         *dataset_override* marks *dataset* as an explicit content
         override (the test/notebook path): its bytes have no registered
         fingerprint, so the plan id is extended with a content digest
         (distinct worker memo entry) and workers are told to bypass their
         persistent stores and always fetch the coordinator's blobs.
-
-        When *store* has a shareable locator (``file://`` on a shared
-        filesystem, ``http://`` object store) the locator is advertised
-        in the plan manifest and workers bootstrap missing artifacts
-        directly from it; the coordinator-relay blobs below stay as the
-        fallback for workers that cannot reach the advertised store.
         """
         plan_id = plan.fingerprint
         if dataset_override:
             digest = hashlib.sha256(
                 dataset.X.tobytes() + dataset.y.tobytes()).hexdigest()[:16]
             plan_id = f"{plan_id}-override-{digest}"
-            store = None
-        job = _Job(plan, plan_id, cells,
-                   self._dataset_blob(plan, dataset, store),
-                   self._cache_blobs(plan, caches, store),
-                   store_ok=not dataset_override,
-                   store_url=None if store is None else store.locator,
+        blobs: dict[str | None, bytes] = {None: DatasetStore.encode_dataset(dataset)}
+        for key, cache in caches.items():
+            buf = io.BytesIO()
+            cache.save(buf)
+            blobs[key] = buf.getvalue()
+        job = _Job(plan, plan_id, cells, blobs, store_ok=not dataset_override,
                    auto_leases=self.batch_size == "auto")
         # Under an active trace collection the caller's current span (the
         # scheduler's plan span) becomes the parent of every worker-side
@@ -549,6 +531,12 @@ class Coordinator:
                 except subprocess.TimeoutExpired:
                     proc.kill()
                     proc.wait()
+        # close() alone does not wake a thread blocked in accept() on
+        # Linux; shutdown() does, so the accept thread exits at once.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:
@@ -560,35 +548,6 @@ class Coordinator:
         self._accept_thread.join(timeout=2.0)
         for thread in list(self._threads):
             thread.join(timeout=2.0)
-
-    # ------------------------------------------------------------------ #
-    # Blob snapshots
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _dataset_blob(plan, dataset, store: DatasetStore | None) -> bytes:
-        if store is not None and store.has_dataset(plan.dataset):
-            try:
-                return store.dataset_bytes(plan.dataset)
-            except IntegrityError:
-                # The stored blob is corrupt; the in-memory dataset is the
-                # source of truth, so re-encode instead of relaying garbage.
-                pass
-        return DatasetStore.encode_dataset(dataset)
-
-    @staticmethod
-    def _cache_blobs(plan, caches: dict, store: DatasetStore | None) -> dict[str, bytes]:
-        blobs: dict[str, bytes] = {}
-        for key, cache in caches.items():
-            if store is not None and store.has_cache(key, plan.dataset):
-                try:
-                    blobs[key] = store.cache_bytes(key, plan.dataset)
-                    continue
-                except IntegrityError:
-                    pass  # fall through: encode from the in-memory cache
-            buf = io.BytesIO()
-            cache.save(buf)
-            blobs[key] = buf.getvalue()
-        return blobs
 
     # ------------------------------------------------------------------ #
     # Fleet liveness
@@ -826,8 +785,7 @@ class Coordinator:
                 if self._closing:
                     return Goodbye()
                 if job is not None and job.failure is None and not job.finished:
-                    return PlanAssignment(job.plan_id, job.plan, job.store_ok,
-                                          job.store_url)
+                    return PlanAssignment(job.plan_id, job.plan, job.store_ok)
                 if self._retire_pending > 0:
                     # Between plans is the safe retirement point: the
                     # worker holds no lease and abandons nothing.
@@ -835,19 +793,16 @@ class Coordinator:
                     self._counters["workers_retired"].inc()
                     return Goodbye("retired by autoscaler")
                 return NoPlan()
-            if isinstance(message, FetchDataset):
+            if isinstance(message, Fetch):
                 if job is None or job.plan_id != message.plan_id:
                     return PlanDone(message.plan_id)
-                self._counters["datasets_served"].inc()
-                return DatasetBlob(job.plan_id, job.dataset_blob,
-                                   job.dataset_sha256)
-            if isinstance(message, FetchCache):
-                if job is None or job.plan_id != message.plan_id:
-                    return PlanDone(message.plan_id)
-                self._counters["caches_served"].inc()
-                return CacheBlob(job.plan_id, message.model_key,
-                                 job.cache_blobs[message.model_key],
-                                 job.cache_sha256s[message.model_key])
+                if message.model_key not in job.blobs:
+                    raise protocol.ProtocolError(
+                        f"no artifact {message.model_key!r} in plan {job.plan_id}")
+                data, digest = job.blobs[message.model_key]
+                self._counters["datasets_served" if message.model_key is None
+                               else "caches_served"].inc()
+                return Blob(job.plan_id, message.model_key, data, digest)
             if isinstance(message, GetBatch):
                 return self._lease_batch(info, job, message)
             if isinstance(message, Results):

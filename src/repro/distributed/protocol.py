@@ -1,7 +1,7 @@
 """Versioned wire protocol of the distributed worker fleet.
 
-Framing (v5)
-------------
+Framing (since v5)
+------------------
 Every message is one *frame*: a 13-byte big-endian header — payload
 length, the CRC32 of the payload, and a flags byte — followed by that
 many bytes of **schema-encoded** payload
@@ -49,16 +49,11 @@ direction and get no reply).
    (the full :class:`~repro.experiments.plan.ExperimentPlan`, a frozen
    dataclass of primitives with an explicit codec schema), :class:`NoPlan`
    (poll again later) or :class:`Goodbye` (fleet shutting down);
-3. store bootstrap — the :class:`PlanAssignment` manifest advertises the
-   coordinator store's *locator* URL (``store_url``) when the store is
-   shareable, so cold workers read the dataset and warmed caches
-   **directly from shared storage** (e.g. the S3-style object store of
-   :mod:`repro.datasets.object_server`) instead of funneling blobs
-   through the coordinator's socket; :class:`FetchDataset` /
-   :class:`FetchCache` answered by :class:`DatasetBlob` /
-   :class:`CacheBlob` (raw ``.npz`` bytes) remain as the
-   coordinator-relay fallback when no locator is advertised or the
-   advertised store is unreachable;
+3. store bootstrap — a worker whose own store lacks an artifact sends
+   :class:`Fetch` (``model_key=None`` for the dataset, an analytical
+   model key for a warmed cache) and gets a :class:`Blob` back: raw
+   ``.npz`` bytes the coordinator encoded from the plan state it
+   already resolved, with their mandatory SHA-256 digest;
 4. work loop — :class:`GetBatch` answered by :class:`Batch`,
    :class:`Idle` (cells in flight elsewhere, poll again) or
    :class:`PlanDone`; :class:`Results` answered by :class:`Ack`;
@@ -105,10 +100,8 @@ __all__ = [
     "PlanAssignment",
     "NoPlan",
     "Goodbye",
-    "FetchDataset",
-    "DatasetBlob",
-    "FetchCache",
-    "CacheBlob",
+    "Fetch",
+    "Blob",
     "GetBatch",
     "Batch",
     "Idle",
@@ -121,8 +114,7 @@ __all__ = [
 #: Bump on any incompatible change to the message set or framing; the
 #: HELLO handshake rejects workers whose version differs.
 #: Version 2 added the advertised store locator (``PlanAssignment.store_url``).
-#: Version 3 added CRC32 frame checksums and blob digests
-#: (``DatasetBlob.sha256`` / ``CacheBlob.sha256``).
+#: Version 3 added CRC32 frame checksums and relay-blob digests.
 #: Version 4 added telemetry: ``Heartbeat.metrics`` / ``Results.metrics``
 #: (worker-side counter snapshots the coordinator merges into its
 #: fleet-wide view), ``Batch.trace`` (the parent span context) and
@@ -131,7 +123,10 @@ __all__ = [
 #: (:mod:`repro.distributed.codec`), added the flags byte to the frame
 #: header, and layered the shared-key HMAC handshake + per-frame tags
 #: (``Hello.auth_nonce``/``auth_proof``, ``Welcome`` likewise).
-PROTOCOL_VERSION = 5
+#: Version 6 dropped the advertised store locator and folded the relay
+#: frames into one :class:`Fetch`/:class:`Blob` pair with a mandatory
+#: digest.
+PROTOCOL_VERSION = 6
 
 #: Upper bound on a single frame (a defensive cap, far above any real
 #: dataset blob; a corrupt or foreign length prefix fails fast instead of
@@ -402,6 +397,8 @@ class Reject:
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class GetPlan:
+    """Worker → coordinator: ask for the active plan (polled between plans)."""
+
     worker_id: str
 
 
@@ -417,20 +414,11 @@ class PlanAssignment:
     when the plan runs on an override dataset whose content has no
     registered fingerprint: the worker must then fetch the blobs and keep
     them out of its persistent store.
-
-    ``store_url`` is the coordinator store's shareable locator (``file://``
-    on a shared filesystem, ``http://`` for an object store) or ``None``:
-    a worker missing an artifact tries the advertised store first and
-    only falls back to :class:`FetchDataset`/:class:`FetchCache` relay
-    frames when there is no locator or the direct read fails, so
-    cold-starting a large fleet no longer serializes every blob through
-    the coordinator's single socket.
     """
 
     plan_id: str
     plan: object
     store_ok: bool = True
-    store_url: str | None = None
 
 
 @dataclass(frozen=True)
@@ -451,40 +439,30 @@ class Goodbye:
 # Store bootstrap
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class FetchDataset:
-    plan_id: str
+class Fetch:
+    """Worker → coordinator: request one plan artifact for the relay.
 
-
-@dataclass(frozen=True)
-class DatasetBlob:
-    """Raw ``.npz`` bytes of the plan's resolved dataset.
-
-    ``sha256`` is the hex content digest of ``data`` (empty when the
-    sender predates v3); receivers verify it before deserializing.
+    ``model_key`` names an analytical model whose warmed cache is
+    wanted; ``None`` asks for the plan's resolved dataset.
     """
 
     plan_id: str
-    data: bytes = field(repr=False)
-    sha256: str = ""
+    model_key: str | None
 
 
 @dataclass(frozen=True)
-class FetchCache:
-    plan_id: str
-    model_key: str
+class Blob:
+    """Coordinator → worker: raw ``.npz`` bytes of one plan artifact.
 
-
-@dataclass(frozen=True)
-class CacheBlob:
-    """Raw ``.npz`` bytes of one warmed analytical-prediction cache.
-
-    ``sha256`` as on :class:`DatasetBlob`.
+    ``model_key`` echoes the :class:`Fetch` (``None``: the dataset).
+    ``sha256`` is the hex content digest of ``data``; the worker
+    verifies it before deserializing and refetches on a mismatch.
     """
 
     plan_id: str
-    model_key: str
+    model_key: str | None
     data: bytes = field(repr=False)
-    sha256: str = ""
+    sha256: str
 
 
 # --------------------------------------------------------------------------- #
@@ -492,6 +470,8 @@ class CacheBlob:
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class GetBatch:
+    """Worker → coordinator: lease the next batch of the plan's cells."""
+
     plan_id: str
     worker_id: str
 
@@ -556,7 +536,7 @@ class Heartbeat:
     """Fire-and-forget liveness signal; resets the coordinator's lease timer.
 
     ``metrics`` (v4) is a :class:`~repro.obs.metrics.MetricsSnapshot`
-    of the worker's counters (``direct_fetches``, ``relay_fetches``,
+    of the worker's counters (``relay_fetches``,
     ``reconnects``, cells completed, ...), so the coordinator exposes
     per-worker and aggregate fleet gauges on its status port even while
     cells are still computing.

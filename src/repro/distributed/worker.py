@@ -13,27 +13,24 @@ once per plan fingerprint and kept in a bounded LRU
 (:class:`~repro.experiments.scheduler.PlanStateMemo`) across batches and
 plans, and cells run through the same per-cell loop
 (:func:`~repro.experiments.scheduler.evaluate_batch`).  Resolution never
-simulates: a worker with a store (``--store-dir`` directory or any
-``--store-url`` backend) loads artifacts whose fingerprint exists and
-*downloads* the rest — **directly from the store the coordinator
-advertises** in the plan manifest (a shared ``file://`` directory or an
-``http://`` object store) when one is reachable, through
-``FetchDataset``/``FetchCache`` relay frames on the coordinator's socket
-otherwise.  Downloads are saved, so the store warms for future runs; a
-store-less worker keeps them in memory.  ``direct_fetches`` /
-``relay_fetches`` count which path each artifact took.
+simulates.  Artifacts come from exactly two places: the worker's own
+store (``--store-dir`` directory or any ``--store-url`` backend, e.g. a
+shared ``http://`` object store) when it holds them under the plan's
+fingerprint, and otherwise the coordinator relay — one
+``Fetch``/``Blob`` round trip per artifact on the coordinator's socket.
+Relayed blobs are saved, so the store warms for future runs; a
+store-less worker keeps them in memory.  ``relay_fetches`` counts the
+relayed artifacts.
 
 A daemon thread heartbeats on an interval even while cells compute, so
 the coordinator can tell "slow" from "dead" without bounding cell cost.
 
-Failure semantics: a direct store fetch that fails for any reason
-(missing key, unreachable store, checksum mismatch) is **logged with its
-cause and counted** (``direct_fetch_errors``) before degrading to the
-coordinator relay — degradation is never silent.  Relay blobs are
-verified against the digest in the frame and retried on mismatch.  A
-lost coordinator connection is retried (``reconnect_attempts`` fresh
-handshakes, per-plan memo preserved) before the worker gives up and
-exits cleanly.
+Failure semantics: every relay blob is verified against the digest in
+its frame; a mismatch is counted (``blob_integrity_errors``), logged and
+refetched, and raises :class:`~repro.datasets.backends.IntegrityError`
+once the retry budget is spent.  A lost coordinator connection is
+retried (``reconnect_attempts`` fresh handshakes, per-plan memo
+preserved) before the worker gives up and exits cleanly.
 """
 
 from __future__ import annotations
@@ -57,11 +54,9 @@ from repro.distributed import protocol
 from repro.distributed.protocol import (
     PROTOCOL_VERSION,
     Batch,
-    CacheBlob,
+    Blob,
     ConnectionClosed,
-    DatasetBlob,
-    FetchCache,
-    FetchDataset,
+    Fetch,
     GetBatch,
     GetPlan,
     Goodbye,
@@ -85,8 +80,8 @@ __all__ = ["FleetWorker", "HandshakeRejected", "main"]
 
 logger = logging.getLogger(__name__)
 
-#: Default policy for a worker's fallible fetches (relay blob verify,
-#: advertised-store transport); jittered so a fleet does not stampede.
+#: Default policy for a worker's relay-blob refetches on a digest
+#: mismatch; jittered so a fleet does not stampede.
 WORKER_RETRY = RetryPolicy(max_attempts=3, base_delay=0.1, max_delay=1.0)
 
 
@@ -109,10 +104,8 @@ class FleetWorker:
         Optional persistent :class:`DatasetStore` (or a directory path /
         ``file://`` / ``memory://`` / ``http(s)://`` store URL).
         Artifacts present under the plan's fingerprint are loaded from
-        the store; missing ones are downloaded — from the coordinator's
-        advertised store when reachable, over the coordinator socket
-        otherwise — and saved.  Without a store the downloads stay in
-        memory.
+        the store; missing ones are relayed over the coordinator socket
+        and saved.  Without a store the relayed blobs stay in memory.
     connect_timeout:
         Seconds to keep retrying the initial connection (workers are
         typically started before, or racing with, the coordinator).
@@ -123,8 +116,8 @@ class FleetWorker:
         Artificial per-cell sleep in seconds (fault-injection knob for
         tests and demos; defaults to ``$REPRO_FLEET_CELL_DELAY`` or 0).
     retry:
-        :class:`~repro.utils.retry.RetryPolicy` for fallible fetches
-        (advertised-store transport, relay-blob digest verification).
+        :class:`~repro.utils.retry.RetryPolicy` for refetching relay
+        blobs that fail digest verification.
     reconnect_attempts:
         Fresh connect+handshake attempts after the coordinator connection
         drops mid-service (each within ``reconnect_timeout`` seconds)
@@ -135,8 +128,7 @@ class FleetWorker:
         carries a challenge proof, the coordinator's WELCOME is
         verified, and every subsequent frame in both directions is
         HMAC-signed under a per-connection session key; the same key
-        signs requests to ``http(s)://`` stores (the worker's own and
-        the coordinator-advertised one).
+        signs requests to the worker's own ``http(s)://`` store.
     """
 
     def __init__(self, address: tuple[str, int], *, store=None,
@@ -171,7 +163,7 @@ class FleetWorker:
         # The worker's telemetry registry: every counter below is shipped
         # to the coordinator inside Heartbeat/Results frames (protocol
         # v4) and merged into the fleet-wide view its status port serves.
-        # The legacy int attributes (`worker.direct_fetches`, ...) remain
+        # The legacy int attributes (`worker.relay_fetches`, ...) remain
         # as read-only properties over these counters.
         self.metrics = MetricsRegistry(attach_to=REGISTRY)
         self._counters = {
@@ -180,18 +172,9 @@ class FleetWorker:
             "cells_evaluated": self.metrics.counter(
                 "repro_worker_cells_evaluated_total",
                 "Cells this worker evaluated"),
-            # Artifacts bootstrapped directly from the advertised store
-            # vs. relayed through the coordinator socket.
-            "direct_fetches": self.metrics.counter(
-                "repro_worker_direct_fetches_total",
-                "Artifacts fetched directly from the advertised store"),
             "relay_fetches": self.metrics.counter(
                 "repro_worker_relay_fetches_total",
                 "Artifacts relayed through the coordinator socket"),
-            # Failed direct fetches that degraded to relay — never silent.
-            "direct_fetch_errors": self.metrics.counter(
-                "repro_worker_direct_fetch_errors_total",
-                "Direct fetches that failed and degraded to relay"),
             # Relay blobs rejected for a digest mismatch (each is retried).
             "blob_integrity_errors": self.metrics.counter(
                 "repro_worker_blob_integrity_errors_total",
@@ -206,7 +189,6 @@ class FleetWorker:
         #: connect so reconnects negotiate a new session key).
         self._auth: protocol.FrameAuth | None = None
         self._memo = PlanStateMemo()
-        self._advertised: dict[str, DatasetStore | None] = {}
 
     # Compatibility views over the registry counters (tests and callers
     # read these as plain ints; writes go through the registry so every
@@ -222,19 +204,9 @@ class FleetWorker:
         return int(self._counters["cells_evaluated"].value)
 
     @property
-    def direct_fetches(self) -> int:
-        """Artifacts fetched directly from the advertised store."""
-        return int(self._counters["direct_fetches"].value)
-
-    @property
     def relay_fetches(self) -> int:
         """Artifacts relayed through the coordinator socket."""
         return int(self._counters["relay_fetches"].value)
-
-    @property
-    def direct_fetch_errors(self) -> int:
-        """Direct fetches that failed and degraded to relay."""
-        return int(self._counters["direct_fetch_errors"].value)
 
     @property
     def blob_integrity_errors(self) -> int:
@@ -419,9 +391,7 @@ class FleetWorker:
         if store is not None and store.has_dataset(spec):
             dataset = store.get(spec)
         else:
-            data = self._artifact_bytes(
-                sock, assignment, lambda shared: shared.dataset_bytes(spec),
-                FetchDataset(assignment.plan_id), DatasetBlob)
+            data = self._relay(sock, assignment.plan_id, None)
             if store is not None:
                 store.put_dataset_bytes(spec, data)
                 dataset = store.get(spec)
@@ -434,10 +404,7 @@ class FleetWorker:
                 caches[key] = store.load_analytical_cache(
                     key, spec, model, dataset.feature_names)
                 continue
-            data = self._artifact_bytes(
-                sock, assignment,
-                lambda shared, key=key: shared.cache_bytes(key, spec),
-                FetchCache(assignment.plan_id, key), CacheBlob)
+            data = self._relay(sock, assignment.plan_id, key)
             if store is not None:
                 store.put_cache_bytes(key, spec, data)
                 caches[key] = store.load_analytical_cache(
@@ -447,61 +414,29 @@ class FleetWorker:
                     io.BytesIO(data), model, dataset.feature_names)
         return dataset, _series_factories(plan, dataset, caches)
 
-    def _advertised_store(self, assignment: PlanAssignment) -> DatasetStore | None:
-        """The shared store the plan manifest advertises (memoized), or ``None``."""
-        url = assignment.store_url
-        if not url or not assignment.store_ok:
-            return None
-        if url not in self._advertised:
-            try:
-                self._advertised[url] = DatasetStore(
-                    resolve_backend(url, retry=self.retry,
-                                    auth=self.auth_key))
-            except ValueError:
-                # Unknown scheme / malformed locator (e.g. a newer
-                # coordinator): the relay path still works.
-                self._advertised[url] = None
-        return self._advertised[url]
+    def _relay(self, sock: socket.socket, plan_id: str,
+               model_key: str | None) -> bytes:
+        """One artifact's bytes over the coordinator relay, digest-verified.
 
-    def _artifact_bytes(self, sock: socket.socket, assignment: PlanAssignment,
-                        direct_read, request, expected: type) -> bytes:
-        """One artifact's bytes: advertised store first, coordinator relay fallback.
-
-        *direct_read* takes the advertised :class:`DatasetStore` and
-        returns the artifact bytes; any miss or failure (``KeyError`` for
-        absent keys, ``OSError`` for an unreachable object store or
-        filesystem, ``IntegrityError`` for a checksum-rejected blob)
-        degrades to a ``FetchDataset``/``FetchCache`` round-trip on the
-        coordinator socket, so a worker that cannot see the shared store
-        still bootstraps — just without relieving the coordinator.  The
-        degradation is logged with its cause and counted
-        (``direct_fetch_errors``); relay blobs are verified against the
-        digest in the frame and retried on mismatch.
+        ``model_key=None`` fetches the dataset.  A blob whose content
+        does not match its ``sha256`` is counted
+        (``blob_integrity_errors``) and refetched; once the retry budget
+        is spent the :class:`IntegrityError` propagates.
         """
-        shared = self._advertised_store(assignment)
-        if shared is not None:
-            try:
-                data = direct_read(shared)
-            except (KeyError, OSError, ValueError, IntegrityError) as exc:
-                self._counters["direct_fetch_errors"].inc()
-                logger.warning(
-                    "worker %s: direct fetch of %s from %s failed "
-                    "(%s: %s); degrading to coordinator relay",
-                    self.worker_id, type(request).__name__,
-                    assignment.store_url, type(exc).__name__, exc)
-            else:
-                self._counters["direct_fetches"].inc()
-                return data
         self._counters["relay_fetches"].inc()
 
-        def relay() -> bytes:
-            reply = self._fetch(sock, request, expected)
-            digest = getattr(reply, "sha256", "")
-            if digest:
-                actual = sha256_hex(reply.data)
-                if actual != digest:
-                    self._counters["blob_integrity_errors"].inc()
-                    raise IntegrityError(type(reply).__name__, digest, actual)
+        def fetch() -> bytes:
+            reply = self._request(sock, Fetch(plan_id, model_key))
+            if isinstance(reply, PlanDone):
+                raise _StalePlan(reply.plan_id)
+            if not isinstance(reply, Blob) or reply.model_key != model_key:
+                raise protocol.ProtocolError(
+                    f"expected the Blob for {model_key!r}, got {reply!r}")
+            actual = sha256_hex(reply.data)
+            if actual != reply.sha256:
+                self._counters["blob_integrity_errors"].inc()
+                raise IntegrityError(f"relay blob {model_key!r}",
+                                     reply.sha256, actual)
             return reply.data
 
         def on_retry(attempt: int, exc: BaseException, delay: float) -> None:
@@ -511,28 +446,20 @@ class FleetWorker:
 
         # _StalePlan is not an IntegrityError, so it propagates on the
         # first occurrence — a vanished plan must never be retried.
-        return self.retry.call(relay, retry_on=(IntegrityError,),
+        return self.retry.call(fetch, retry_on=(IntegrityError,),
                                on_retry=on_retry)
-
-    def _fetch(self, sock: socket.socket, request, expected: type):
-        reply = self._request(sock, request)
-        if isinstance(reply, PlanDone):
-            raise _StalePlan(reply.plan_id)
-        if not isinstance(reply, expected):
-            raise protocol.ProtocolError(
-                f"expected {expected.__name__}, got {type(reply).__name__}")
-        return reply
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one fleet worker from the command line; returns its exit status."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.distributed.worker",
         description="Fleet worker: evaluate experiment cells for a coordinator",
         parents=[
             add_store_args(
                 dir_help="persistent dataset/cache store directory; missing "
-                         "artifacts are bootstrapped from the advertised "
-                         "shared store or the coordinator, never re-simulated",
+                         "artifacts are relayed from the coordinator, never "
+                         "re-simulated",
                 url_help="store locator instead of a directory: file://DIR, "
                          "memory:// or http://HOST:PORT/ (an S3-style object "
                          "store, e.g. python -m repro.datasets.object_server)"),

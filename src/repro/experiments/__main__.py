@@ -20,10 +20,9 @@ Options
 ``--store-url``   the same store behind any registered backend locator:
                   ``file://DIR``, ``memory://`` (process-local scratch) or
                   ``http://HOST:PORT/`` — an S3-style object store (serve one
-                  with ``python -m repro.datasets.object_server``).  A fleet
-                  coordinator advertises the locator to its workers, so cold
-                  workers bootstrap directly from the object store instead of
-                  relaying blobs through the coordinator socket
+                  with ``python -m repro.datasets.object_server``).  Locally
+                  spawned fleet workers open the same store, so they load
+                  artifacts from it instead of through the coordinator relay
 ``--store-prune`` after the run, delete store entries whose fingerprint none
                   of the executed experiments uses (stale settings, old
                   simulator versions)
@@ -72,9 +71,10 @@ Fleet workers
 [--store-dir DIR | --store-url URL]`` starts a worker process for a
 ``--executor remote --bind`` coordinator on this or any other host (an
 alias for ``python -m repro.distributed.worker``; see there for all
-options).  Workers missing an artifact bootstrap it directly from the
-store the coordinator advertises (falling back to coordinator relay),
-so even store-less workers never re-simulate.
+options).  Workers load artifacts from their own store when it holds
+them and fetch the rest through the coordinator relay, so even
+store-less workers never re-simulate; give each worker ``--store-url``
+to read a shared store directly.
 """
 
 from __future__ import annotations

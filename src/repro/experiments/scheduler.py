@@ -283,13 +283,13 @@ def _run_remote(plan: ExperimentPlan, cells: list, dataset: PerformanceDataset,
             raise ValueError(
                 "batch_cells cannot be combined with an existing fleet; "
                 "construct the Coordinator with batch_size=... instead")
-        return fleet.execute(plan, cells, dataset, caches, store=store,
+        return fleet.execute(plan, cells, dataset, caches,
                              dataset_override=dataset_override)
     knobs = {} if batch_cells is None else {"batch_size": batch_cells}
     with Coordinator(**knobs) as coordinator:
         coordinator.spawn_local_workers(
             jobs, store_url=None if store is None else store.locator)
-        return coordinator.execute(plan, cells, dataset, caches, store=store,
+        return coordinator.execute(plan, cells, dataset, caches,
                                    dataset_override=dataset_override)
 
 

@@ -1,9 +1,9 @@
 """Programmable fault injection for the store and the fleet wire protocol.
 
 The robustness claims of the store/fleet stack (checksums catch
-corruption, retries absorb error bursts, relay fallback survives a dead
-shared store) are only claims until a test can *cause* each failure on
-demand.  This module provides the two injection points:
+corruption, retries absorb error bursts, the coordinator relay keeps
+workers going while the shared store is corrupt) are only claims until
+a test can *cause* each failure on demand.  This module provides the two injection points:
 
 * :class:`FaultyBackend` wraps any
   :class:`~repro.datasets.backends.StoreBackend` and injects faults into
@@ -166,7 +166,7 @@ class FaultyBackend(StoreBackend):
     # ------------------------------------------------------------------ #
     @property
     def locator(self) -> str | None:
-        """The wrapped backend's shareable URL (faults are not advertised)."""
+        """The wrapped backend's shareable URL (other processes see no faults)."""
         return self.inner.locator
 
     def _read(self, key: str) -> bytes:

@@ -9,10 +9,9 @@ The guarantees under test:
 * the HELLO handshake rejects protocol-version and store-format-version
   mismatches instead of exchanging incompatible artifacts;
 * cold-store workers bootstrap the dataset and warmed analytical caches
-  without ever re-simulating (store hit counters) — directly from the
-  store the coordinator advertises when it is shareable, through
-  coordinator relay frames otherwise (and as fallback when the
-  advertised store is unreachable);
+  without ever re-simulating (store hit counters): from their own store
+  when it holds them, through digest-verified coordinator relay frames
+  otherwise;
 * a cell that exhausts its requeue budget fails the plan with a hard
   error rather than hanging the coordinator.
 """
@@ -28,6 +27,7 @@ import time
 
 import pytest
 
+from repro.datasets.backends import IntegrityError, sha256_hex
 from repro.datasets.store import _FORMAT_VERSION, DatasetStore, _simulator_versions
 from repro.distributed import protocol
 from repro.distributed.coordinator import Coordinator
@@ -88,12 +88,13 @@ def _run_plan_async(plan, coordinator, **kwargs):
 
 class TestProtocol:
     def test_frame_round_trip(self):
+        blob = os.urandom(1 << 17)
         left, right = socket.socketpair()
         try:
             messages = [
                 protocol.Hello(PROTOCOL_VERSION, _FORMAT_VERSION, "w1", 123),
                 protocol.Heartbeat("w1"),
-                protocol.DatasetBlob("abc", os.urandom(1 << 17)),
+                protocol.Blob("abc", None, blob, sha256_hex(blob)),
                 protocol.Results("abc", "w1", ()),
             ]
             lock = threading.Lock()
@@ -336,12 +337,29 @@ class TestRemoteExecutor:
         assert isinstance(box.get("error"), RuntimeError)
         assert "exited" in str(box["error"])
 
+    def test_close_wakes_the_accept_thread(self):
+        """close() with connected subprocess workers returns promptly and
+        leaves no accept thread blocked in accept()."""
+        coordinator = Coordinator()
+        try:
+            coordinator.spawn_local_workers(2)
+            deadline = time.monotonic() + 60.0
+            while (len(coordinator.worker_snapshot()) < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+            assert len(coordinator.worker_snapshot()) == 2
+        finally:
+            started = time.monotonic()
+            coordinator.close()
+            elapsed = time.monotonic() - started
+        assert elapsed < 1.0, f"close took {elapsed:.2f}s"
+        assert not coordinator._accept_thread.is_alive()
+
 
 class TestStoreBootstrap:
     def test_cold_worker_bootstraps_without_simulating(self, tmp_path):
-        """Acceptance: a cold --store-dir worker downloads the dataset and
-        warmed caches — directly from the advertised parent store (zero
-        relay frames through the coordinator); its store never generates."""
+        """Acceptance: a cold --store-dir worker relays the dataset and
+        warmed caches from the coordinator; its store never generates."""
         parent = DatasetStore(tmp_path / "parent")
         plan = experiment_plan("figure6", TINY)
         serial = run_plan(plan, store=parent)
@@ -359,11 +377,10 @@ class TestStoreBootstrap:
         # `misses` counts generations, `cache_misses` counts warm-ups.
         assert worker_store.misses == 0 and worker_store.cache_misses == 0
         assert worker_store.hits >= 1 and worker_store.cache_hits >= 1
-        # The parent store is a shareable file:// locator, so the worker
-        # bootstrapped directly from it: zero relay frames.
-        assert (worker.direct_fetches, worker.relay_fetches) == (2, 0)
-        assert coordinator.stats["datasets_served"] == 0
-        assert coordinator.stats["caches_served"] == 0
+        # Dataset + one warmed cache, each relayed exactly once.
+        assert worker.relay_fetches == 2
+        assert coordinator.stats["datasets_served"] == 1
+        assert coordinator.stats["caches_served"] == 1
         assert worker_store.dataset_path(plan.dataset).exists()
         assert worker_store.cache_path("stencil", plan.dataset).exists()
 
@@ -379,31 +396,8 @@ class TestStoreBootstrap:
         assert _rows(remote2) == _rows(serial)
         assert coordinator2.stats["datasets_served"] == 0
         assert coordinator2.stats["caches_served"] == 0
-        assert (worker2.direct_fetches, worker2.relay_fetches) == (0, 0)
+        assert worker2.relay_fetches == 0
         assert warm_store.misses == 0 and warm_store.cache_misses == 0
-
-    def test_unreachable_advertised_store_falls_back_to_relay(self, tmp_path,
-                                                              monkeypatch):
-        """A worker that cannot reach the advertised store still bootstraps
-        through the coordinator's FetchDataset/FetchCache relay frames."""
-        parent = DatasetStore(tmp_path)
-        plan = experiment_plan("figure6", TINY)
-        serial = run_plan(plan, store=parent)
-        # Advertise a locator nothing listens on (port 1 refuses instantly).
-        monkeypatch.setattr(
-            type(parent.backend), "locator",
-            property(lambda self: "http://127.0.0.1:1/"))
-        with Coordinator() as coordinator:
-            worker = FleetWorker(coordinator.address)
-            thread = threading.Thread(target=worker.run, daemon=True)
-            thread.start()
-            remote = run_plan(plan, executor="remote", fleet=coordinator,
-                              store=parent)
-        thread.join(timeout=10.0)
-        assert _rows(remote) == _rows(serial)
-        assert (worker.direct_fetches, worker.relay_fetches) == (0, 2)
-        assert coordinator.stats["datasets_served"] == 1
-        assert coordinator.stats["caches_served"] == 1
 
     def test_dataset_override_bypasses_warm_worker_store(self, tmp_path):
         """An explicit dataset override has no registered fingerprint: a
@@ -446,28 +440,31 @@ class TestStoreBootstrap:
         assert _rows(remote) == _rows(serial)
 
     def test_dataset_bytes_round_trip(self, tmp_path):
+        """A relayed dataset blob (encode_dataset) installed with
+        put_dataset_bytes loads back bit for bit."""
         import numpy as np
 
-        store = DatasetStore(tmp_path)
         spec = experiment_plan("figure6", TINY).dataset
-        dataset = store.get(spec)
-        data = store.dataset_bytes(spec)
-        assert data == DatasetStore.encode_dataset(dataset)
+        dataset = spec.build()
+        data = DatasetStore.encode_dataset(dataset)
         decoded = DatasetStore.decode_dataset_bytes(data)
         np.testing.assert_array_equal(decoded.X, dataset.X)
         np.testing.assert_array_equal(decoded.y, dataset.y)
-        assert decoded.feature_names == dataset.feature_names
-        assert decoded.configs == dataset.configs
 
-        other = DatasetStore(tmp_path / "other")
-        other.put_dataset_bytes(spec, data)
-        loaded = other.get(spec)
-        assert (other.misses, other.hits) == (0, 1)
-        np.testing.assert_array_equal(loaded.X, dataset.X)
+        store = DatasetStore(tmp_path)
+        store.put_dataset_bytes(spec, data)
+        loaded = store.get(spec)
+        assert (store.misses, store.hits) == (0, 1)
+        assert loaded.X.tobytes() == dataset.X.tobytes()
+        assert loaded.y.tobytes() == dataset.y.tobytes()
+        assert loaded.X.dtype == dataset.X.dtype and loaded.y.dtype == dataset.y.dtype
+        assert loaded.feature_names == dataset.feature_names
+        assert loaded.configs == dataset.configs
+        assert DatasetStore.encode_dataset(loaded) == data
 
 
 class TestObjectStoreBootstrap:
-    """Fleet bootstrap straight from the bundled S3-style object store."""
+    """Workers whose own store is the bundled S3-style object store."""
 
     @pytest.fixture()
     def object_store(self):
@@ -476,35 +473,6 @@ class TestObjectStoreBootstrap:
 
         with ObjectStoreServer(MemoryBackend()) as server:
             yield server
-
-    def test_storeless_worker_bootstraps_from_object_store(self, object_store):
-        """Acceptance: a store-dir-less worker pointed at an http:// store
-        locator pulls dataset + warmed caches straight off the object
-        server — zero FetchDataset/FetchCache frames through the
-        coordinator — and rows stay bit-identical to serial."""
-        plan = experiment_plan("figure6", TINY)
-        serial = run_plan(plan)
-        shared = DatasetStore(object_store.url)
-        warm = run_plan(plan, store=shared)  # seeds the object store
-        assert _rows(warm) == _rows(serial)
-        puts_before = object_store.stats["puts"]
-
-        coordinator_store = DatasetStore(object_store.url)
-        with Coordinator() as coordinator:
-            worker = FleetWorker(coordinator.address)  # no store at all
-            thread = threading.Thread(target=worker.run, daemon=True)
-            thread.start()
-            remote = run_plan(plan, executor="remote", fleet=coordinator,
-                              store=coordinator_store)
-        thread.join(timeout=10.0)
-        assert _rows(remote) == _rows(serial)
-        # Dataset + one warmed cache, both served over HTTP, not the socket.
-        assert (worker.direct_fetches, worker.relay_fetches) == (2, 0)
-        assert coordinator.stats["datasets_served"] == 0
-        assert coordinator.stats["caches_served"] == 0
-        assert object_store.stats["gets"] >= 2
-        # Bootstrap is read-only: the store-less worker uploaded nothing.
-        assert object_store.stats["puts"] == puts_before
 
     def test_worker_with_object_store_url(self, object_store):
         """A worker whose *own* store is the object store (--store-url
@@ -522,7 +490,7 @@ class TestObjectStoreBootstrap:
                               store=shared)
         thread.join(timeout=10.0)
         assert _rows(remote) == _rows(serial)
-        assert (worker.direct_fetches, worker.relay_fetches) == (0, 0)
+        assert worker.relay_fetches == 0
         assert worker_store.misses == 0 and worker_store.cache_misses == 0
         assert worker_store.hits >= 1 and worker_store.cache_hits >= 1
         assert coordinator.stats["datasets_served"] == 0
@@ -579,45 +547,6 @@ class TestFleetWorkerCli:
 class TestFaultTolerance:
     """Degradation paths: every fallback is taken loudly and recovers."""
 
-    def test_direct_fetch_corruption_degrades_to_relay(self, tmp_path, caplog):
-        """A corrupt blob in the shared store is rejected by the worker's
-        checksum verification, logged with its cause, counted, and served
-        through the coordinator relay instead — rows stay correct."""
-        import logging
-
-        from repro.testing import flip_bit
-
-        parent = DatasetStore(tmp_path)
-        plan = experiment_plan("figure6", TINY)
-        serial = run_plan(plan, store=parent)
-        with Coordinator() as coordinator:
-            thread, box = _run_plan_async(plan, coordinator, store=parent)
-            deadline = time.monotonic() + 60.0
-            while (coordinator.load()["outstanding"] == 0
-                   and time.monotonic() < deadline):
-                time.sleep(0.02)
-            # The driver has resolved the plan (and snapshotted clean relay
-            # blobs); now rot the shared dataset blob on disk.  The sidecar
-            # still holds the original digest, so reads must be rejected.
-            blob_path = parent.dataset_path(plan.dataset)
-            blob_path.write_bytes(flip_bit(blob_path.read_bytes()))
-            worker = FleetWorker(coordinator.address)
-            worker_thread = threading.Thread(target=worker.run, daemon=True)
-            with caplog.at_level(logging.WARNING,
-                                 logger="repro.distributed.worker"):
-                worker_thread.start()
-                thread.join(timeout=120.0)
-                assert not thread.is_alive()
-        worker_thread.join(timeout=10.0)
-        assert "error" not in box, box.get("error")
-        assert _rows(box["result"]) == _rows(serial)
-        # The degradation was counted and logged exactly once, with cause.
-        assert worker.direct_fetch_errors == 1
-        assert worker.relay_fetches == 1   # dataset via relay
-        assert worker.direct_fetches == 1  # cache still came directly
-        assert "degrading to coordinator relay" in caplog.text
-        assert "IntegrityError" in caplog.text
-
     def test_relay_blob_digest_mismatch_is_retried(self):
         """A relay blob that fails digest verification is refetched; the
         second copy passes and the plan completes bit-identically."""
@@ -631,13 +560,12 @@ class TestFaultTolerance:
 
             def tamper(info, message):
                 reply = original_reply(info, message)
-                if (isinstance(message, protocol.FetchDataset)
-                        and isinstance(reply, protocol.DatasetBlob)
+                if (isinstance(message, protocol.Fetch)
+                        and message.model_key is None
+                        and isinstance(reply, protocol.Blob)
                         and not tampered["done"]):
                     tampered["done"] = True
-                    return protocol.DatasetBlob(
-                        reply.plan_id, flip_bit(reply.data),
-                        sha256=reply.sha256)
+                    return dataclasses.replace(reply, data=flip_bit(reply.data))
                 return reply
 
             coordinator._reply = tamper
@@ -648,7 +576,65 @@ class TestFaultTolerance:
         thread.join(timeout=10.0)
         assert tampered["done"]
         assert worker.blob_integrity_errors == 1
+        assert worker.relay_fetches == 2
         assert _rows(remote) == _rows(serial)
+
+    def test_fetch_of_unknown_artifact_severs(self):
+        """A Fetch naming an artifact the plan does not have is a protocol
+        violation: the coordinator severs that connection, and the plan
+        still completes on an honest worker."""
+        plan = experiment_plan("figure6", TINY)
+        serial = run_plan(plan)
+        coordinator = Coordinator()
+        try:
+            thread, box = _run_plan_async(plan, coordinator)
+            sock, welcome = _raw_handshake(coordinator.address, worker_id="rogue")
+            assert isinstance(welcome, protocol.Welcome)
+            assignment = _await_plan(sock, worker_id="rogue")
+            protocol.send_message(sock, protocol.Fetch(assignment.plan_id, "nope"))
+            with pytest.raises(protocol.ConnectionClosed):
+                protocol.recv_message(sock)
+            sock.close()
+            honest = FleetWorker(coordinator.address)
+            threading.Thread(target=honest.run, daemon=True).start()
+            thread.join(timeout=120.0)
+            assert not thread.is_alive()
+        finally:
+            coordinator.close()
+        assert "error" not in box, box.get("error")
+        assert _rows(box["result"]) == _rows(serial)
+
+    def test_relay_blob_digest_is_mandatory(self):
+        """A Blob with an empty or a wrong digest is rejected, counted and
+        refetched; with the retry budget spent, IntegrityError is raised."""
+        from repro.utils.retry import RetryPolicy
+
+        data = b"npz bytes"
+        good = protocol.Blob("p", None, data, sha256_hex(data))
+        empty = dataclasses.replace(good, sha256="")
+        wrong = dataclasses.replace(good, sha256=sha256_hex(b"other"))
+        worker = FleetWorker(("127.0.0.1", 1),
+                             retry=RetryPolicy(max_attempts=3, base_delay=0.0))
+        sent = []
+
+        def serve(replies):
+            replies = iter(replies)
+
+            def request(sock, message):
+                sent.append(message)
+                return next(replies)
+            worker._request = request
+
+        serve([empty, wrong, good])
+        assert worker._relay(None, "p", None) == data
+        assert worker.blob_integrity_errors == 2
+        assert sent == [protocol.Fetch("p", None)] * 3
+
+        serve([empty, empty, empty])
+        with pytest.raises(IntegrityError):
+            worker._relay(None, "p", None)
+        assert worker.blob_integrity_errors == 5
+        assert worker.relay_fetches == 2
 
     def test_worker_reconnects_after_connection_cut(self):
         """A severed coordinator connection is survived: the worker

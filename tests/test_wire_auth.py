@@ -87,7 +87,9 @@ class TestCodec:
             protocol.Welcome("coord", auth_nonce="cc", auth_proof="dd"),
             protocol.Reject("nope"),
             protocol.Heartbeat("w1"),
-            protocol.DatasetBlob("abc", os.urandom(1 << 12)),
+            protocol.Fetch("abc", None),
+            protocol.Fetch("abc", "stencil"),
+            protocol.Blob("abc", "stencil", os.urandom(1 << 12), "ab" * 32),
             protocol.NoPlan(),
             protocol.Goodbye("done"),
         ]
@@ -386,6 +388,7 @@ class TestKeyedFleetEndToEnd:
             thread.join(timeout=10.0)
             assert _rows(remote) == _rows(serial)
             assert server.auth_failures == 0
+            assert worker.relay_fetches == 0  # read its own keyed store
 
 
 class TestHTTPAuth:
