@@ -40,11 +40,13 @@ setting :attr:`elastic` suppresses the all-local-workers-exited fail-fast
 Store bootstrap
 ---------------
 Workers load plan artifacts from their own store when it holds them.
-For everything else they use the relay: per plan, the coordinator
-encodes the dataset and every warmed analytical cache the driver
-already resolved as raw ``.npz`` blobs with their SHA-256 digests, and
-answers each :class:`~repro.distributed.protocol.Fetch` with one
-:class:`~repro.distributed.protocol.Blob`.  The coordinator never
+For everything else they use the relay: the coordinator answers each
+:class:`~repro.distributed.protocol.Fetch` with one
+:class:`~repro.distributed.protocol.Blob`, the raw ``.npz`` encoding of
+the dataset or warmed analytical cache the driver already resolved,
+with its SHA-256 digest.  Each artifact is encoded on its first fetch
+and memoized for the plan, so fleets that never fetch pay nothing and
+every worker of a plan gets the same snapshot.  The coordinator never
 reads a store itself.
 """
 
@@ -118,8 +120,8 @@ class _WorkerInfo:
 class _Job:
     """One plan's in-flight state: queue, completed results, retry counts."""
 
-    def __init__(self, plan, plan_id: str, cells: list,
-                 blobs: dict[str | None, bytes], store_ok: bool,
+    def __init__(self, plan, plan_id: str, cells: list, dataset,
+                 caches: dict, store_ok: bool,
                  auto_leases: bool = False) -> None:
         self.plan = plan
         self.plan_id = plan_id
@@ -140,10 +142,10 @@ class _Job:
             self.queue = deque(cells)
         self.completed: dict[tuple, CellResult] = {}
         self.retries: dict[tuple, int] = {}
-        # Relay blobs keyed like Fetch.model_key (None: the dataset), each
-        # with the content digest workers verify before deserializing.
-        self.blobs = {key: (blob, hashlib.sha256(blob).hexdigest())
-                      for key, blob in blobs.items()}
+        # Relay artifacts keyed like Fetch.model_key (None: the dataset);
+        # see blob() for their memoized encodings.
+        self.artifacts = {None: dataset, **caches}
+        self._blobs: dict[str | None, tuple[bytes, str]] = {}
         self.lease_durations: list[float] = []  # completed leases, seconds
         self.failure: str | None = None
         #: Plan span context shipped in every Batch (None = tracing off).
@@ -152,6 +154,23 @@ class _Job:
     @property
     def finished(self) -> bool:
         return len(self.completed) == len(self.cells)
+
+    def blob(self, key: str | None) -> tuple[bytes, str]:
+        """Relay bytes of artifact *key* and their SHA-256 digest.
+
+        Encoded on the first fetch and memoized; the caller holds the
+        coordinator lock, so every worker gets the same snapshot.
+        """
+        if key not in self._blobs:
+            artifact = self.artifacts[key]
+            if key is None:
+                data = DatasetStore.encode_dataset(artifact)
+            else:
+                buf = io.BytesIO()
+                artifact.save(buf)
+                data = buf.getvalue()
+            self._blobs[key] = (data, hashlib.sha256(data).hexdigest())
+        return self._blobs[key]
 
 
 class Coordinator:
@@ -462,8 +481,8 @@ class Coordinator:
         """Run every cell of *plan* on the fleet; results in plan order.
 
         *dataset* and *caches* are the parent-resolved plan state (the
-        same objects the other executors use); they are encoded once into
-        the relay blobs that workers without the artifacts fetch.
+        same objects the other executors use); each is encoded into a
+        relay blob the first time a worker without it fetches it.
 
         *dataset_override* marks *dataset* as an explicit content
         override (the test/notebook path): its bytes have no registered
@@ -476,12 +495,8 @@ class Coordinator:
             digest = hashlib.sha256(
                 dataset.X.tobytes() + dataset.y.tobytes()).hexdigest()[:16]
             plan_id = f"{plan_id}-override-{digest}"
-        blobs: dict[str | None, bytes] = {None: DatasetStore.encode_dataset(dataset)}
-        for key, cache in caches.items():
-            buf = io.BytesIO()
-            cache.save(buf)
-            blobs[key] = buf.getvalue()
-        job = _Job(plan, plan_id, cells, blobs, store_ok=not dataset_override,
+        job = _Job(plan, plan_id, cells, dataset, caches,
+                   store_ok=not dataset_override,
                    auto_leases=self.batch_size == "auto")
         # Under an active trace collection the caller's current span (the
         # scheduler's plan span) becomes the parent of every worker-side
@@ -796,10 +811,10 @@ class Coordinator:
             if isinstance(message, Fetch):
                 if job is None or job.plan_id != message.plan_id:
                     return PlanDone(message.plan_id)
-                if message.model_key not in job.blobs:
+                if message.model_key not in job.artifacts:
                     raise protocol.ProtocolError(
                         f"no artifact {message.model_key!r} in plan {job.plan_id}")
-                data, digest = job.blobs[message.model_key]
+                data, digest = job.blob(message.model_key)
                 self._counters["datasets_served" if message.model_key is None
                                else "caches_served"].inc()
                 return Blob(job.plan_id, message.model_key, data, digest)

@@ -12,15 +12,17 @@ the dataset, warmed analytical caches and series factories are resolved
 once per plan fingerprint and kept in a bounded LRU
 (:class:`~repro.experiments.scheduler.PlanStateMemo`) across batches and
 plans, and cells run through the same per-cell loop
-(:func:`~repro.experiments.scheduler.evaluate_batch`).  Resolution never
-simulates.  Artifacts come from exactly two places: the worker's own
-store (``--store-dir`` directory or any ``--store-url`` backend, e.g. a
-shared ``http://`` object store) when it holds them under the plan's
+(:func:`~repro.experiments.scheduler.evaluate_batch`).  Artifacts come
+from exactly two places: the worker's own store (``--store-dir``
+directory or any ``--store-url`` backend, e.g. a shared ``http://``
+object store) when it holds them under the plan's
 fingerprint, and otherwise the coordinator relay — one
 ``Fetch``/``Blob`` round trip per artifact on the coordinator's socket.
 Relayed blobs are saved, so the store warms for future runs; a
 store-less worker keeps them in memory.  ``relay_fetches`` counts the
-relayed artifacts.
+relayed artifacts.  Resolution simulates only to heal the worker's own
+store: a stored dataset blob that fails its checksum is regenerated
+locally by :meth:`~repro.datasets.store.DatasetStore.get`, not relayed.
 
 A daemon thread heartbeats on an interval even while cells compute, so
 the coordinator can tell "slow" from "dead" without bounding cell cost.
@@ -458,8 +460,8 @@ def main(argv: list[str] | None = None) -> int:
         parents=[
             add_store_args(
                 dir_help="persistent dataset/cache store directory; missing "
-                         "artifacts are relayed from the coordinator, never "
-                         "re-simulated",
+                         "artifacts are relayed from the coordinator (a "
+                         "corrupt stored dataset is regenerated locally)",
                 url_help="store locator instead of a directory: file://DIR, "
                          "memory:// or http://HOST:PORT/ (an S3-style object "
                          "store, e.g. python -m repro.datasets.object_server)"),

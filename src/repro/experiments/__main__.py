@@ -72,8 +72,8 @@ Fleet workers
 ``--executor remote --bind`` coordinator on this or any other host (an
 alias for ``python -m repro.distributed.worker``; see there for all
 options).  Workers load artifacts from their own store when it holds
-them and fetch the rest through the coordinator relay, so even
-store-less workers never re-simulate; give each worker ``--store-url``
+them and fetch the rest through the coordinator relay, so store-less
+workers never re-simulate; give each worker ``--store-url``
 to read a shared store directly.
 """
 

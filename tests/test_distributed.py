@@ -338,9 +338,20 @@ class TestRemoteExecutor:
         assert "exited" in str(box["error"])
 
     def test_close_wakes_the_accept_thread(self):
-        """close() with connected subprocess workers returns promptly and
-        leaves no accept thread blocked in accept()."""
+        """close() with connected subprocess workers leaves no accept
+        thread blocked in accept(): joining it does not wait out its
+        2 s timeout.  Timed from the join alone, so a slow Goodbye to
+        the local workers on a loaded host does not count."""
         coordinator = Coordinator()
+        accept_thread = coordinator._accept_thread
+        join_seconds = []
+
+        def timed_join(timeout=None):
+            started = time.monotonic()
+            threading.Thread.join(accept_thread, timeout)
+            join_seconds.append(time.monotonic() - started)
+
+        accept_thread.join = timed_join
         try:
             coordinator.spawn_local_workers(2)
             deadline = time.monotonic() + 60.0
@@ -349,11 +360,10 @@ class TestRemoteExecutor:
                 time.sleep(0.02)
             assert len(coordinator.worker_snapshot()) == 2
         finally:
-            started = time.monotonic()
             coordinator.close()
-            elapsed = time.monotonic() - started
-        assert elapsed < 1.0, f"close took {elapsed:.2f}s"
-        assert not coordinator._accept_thread.is_alive()
+        assert not accept_thread.is_alive()
+        assert len(join_seconds) == 1
+        assert join_seconds[0] < 1.0, f"accept join took {join_seconds[0]:.2f}s"
 
 
 class TestStoreBootstrap:
@@ -603,6 +613,44 @@ class TestFaultTolerance:
             coordinator.close()
         assert "error" not in box, box.get("error")
         assert _rows(box["result"]) == _rows(serial)
+
+    def test_relay_blobs_are_encoded_once_on_first_fetch(self, monkeypatch):
+        """The coordinator encodes a relay artifact only when a worker
+        first fetches it, then serves every later Fetch of the plan the
+        same memoized bytes and digest."""
+        plan = experiment_plan("figure6", TINY)
+        serial = run_plan(plan)
+        encodes = []
+        encode = DatasetStore.encode_dataset
+        monkeypatch.setattr(DatasetStore, "encode_dataset", classmethod(
+            lambda cls, dataset: encodes.append(1) or encode(dataset)))
+        coordinator = Coordinator()
+        try:
+            thread, box = _run_plan_async(plan, coordinator)
+            sock, welcome = _raw_handshake(coordinator.address, worker_id="prober")
+            assert isinstance(welcome, protocol.Welcome)
+            assignment = _await_plan(sock, worker_id="prober")
+            assert encodes == []  # the plan is running; nothing fetched yet
+            blobs = []
+            for key in (None, None, "stencil"):
+                protocol.send_message(sock, protocol.Fetch(assignment.plan_id, key))
+                blobs.append(protocol.recv_message(sock))
+            assert all(isinstance(blob, protocol.Blob) for blob in blobs)
+            assert blobs[0] == blobs[1]
+            assert blobs[2].sha256 == sha256_hex(blobs[2].data)
+            assert len(encodes) == 1
+            sock.close()
+            honest = FleetWorker(coordinator.address)
+            threading.Thread(target=honest.run, daemon=True).start()
+            thread.join(timeout=120.0)
+            assert not thread.is_alive()
+        finally:
+            coordinator.close()
+        assert "error" not in box, box.get("error")
+        assert _rows(box["result"]) == _rows(serial)
+        assert honest.relay_fetches == 2
+        assert len(encodes) == 1  # the honest worker got the memoized blob
+        assert coordinator.stats["datasets_served"] == 3
 
     def test_relay_blob_digest_is_mandatory(self):
         """A Blob with an empty or a wrong digest is rejected, counted and
